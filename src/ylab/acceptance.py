@@ -23,8 +23,9 @@ from .duality import R_map, composite_check, iso_covector
 from .exact import ONE, Poly
 from .glmops import E_op, EE_op
 from .grassmann import Grassmann
-from .intertwiner import (NotDominant, build_I, elementary, image_analysis,
-                          intertwine_check, word_independence_check)
+from .intertwiner import (Intertwiner, NotDominant, build_I, elementary,
+                          image_analysis, intertwine_check,
+                          word_independence_check)
 from .yangian import (ModuleSpec, eigen_closed, eigen_series, eigenform_check,
                       highest_vector, rtt_check)
 
@@ -314,7 +315,7 @@ def criterion_11() -> CriterionResult:
 
 
 def criterion_12() -> CriterionResult:
-    """Invariant-closure verdicts: every battery image is irreducible."""
+    """Highest-weight verdicts: every battery image is irreducible."""
     started = time.perf_counter()
     battery = dominant_battery()
     kernel_seen = False
@@ -328,8 +329,14 @@ def criterion_12() -> CriterionResult:
     _require(kernel_seen, "battery lacks a proper-kernel witness")
     _require(image_analysis(KERNEL_SPEC, build_I(KERNEL_SPEC)).rank == 3,
              "kernel witness no longer has rank 3")
+    dim = KERNEL_SPEC.dim
+    whole = Intertwiner(KERNEL_SPEC, KERNEL_SPEC, tuple(
+        tuple(Fraction(int(r == c)) for c in range(dim)) for r in range(dim)))
+    _require(image_analysis(KERNEL_SPEC, whole).irreducible is False,
+             "reducible kernel-witness module certified irreducible")
     return _finish(12, "irreducibility oracle", 600.0, started,
-                   f"{len(battery)} images, kernel witness included")
+                   f"{len(battery)} images generated by a singular line,"
+                   " reducible kernel witness refuted")
 
 
 ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (

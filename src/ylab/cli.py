@@ -25,9 +25,10 @@ from . import jsonio
 from .drinfeld import (CommonZeroes, NoSolution, PairSet, classify_kind,
                        data_of_module, pair_set, realize, reduce_minimal)
 from .duality import composite_check, iso_covector
+from .exact import IrrationalRoots
 from .glmops import ForbiddenWeightDifference
-from .intertwiner import (NotDominant, NotReduced, ReducedWord, build_I,
-                          image_analysis, intertwine_check,
+from .intertwiner import (NotDominant, NotReduced, ReducedWord,
+                          _column_echelon, build_I, intertwine_check,
                           word_independence_check)
 from .jsonio import MalformedInput
 from .yangian import (ModuleSpec, eigen_closed, eigen_series, eigenform_check,
@@ -170,7 +171,7 @@ def cmd_build(spec: ModuleSpec) -> tuple[int, dict]:
 def cmd_intertwine(spec: ModuleSpec,
                    word: Optional[ReducedWord]) -> tuple[int, dict]:
     inter = build_I(spec, word)
-    rank = image_analysis(spec, inter).rank
+    rank = len(_column_echelon(inter.matrix)[1])
     col = inter.column(highest_vector(spec).index)
     want = highest_vector(inter.target_spec).index
     hv_ok = all(col[r] == (1 if r == want else 0) for r in range(inter.dim))
@@ -380,7 +381,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MalformedInput as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID
-    except (NoSolution, CommonZeroes) as exc:
+    except (NoSolution, CommonZeroes, IrrationalRoots) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID
     except NotDominant as exc:

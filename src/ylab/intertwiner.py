@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Optional, Sequence
 
-from .exact import Poly
 from .glmops import LinearMap, XY_op, operator_matrix
 from .grassmann import (Grassmann, perm_apply, perm_compose, perm_identity,
                         perm_inverse, perm_longest, perm_transposition)
@@ -181,10 +181,11 @@ class Intertwiner:
 
 
 def _mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    return tuple(tuple(sum((a[r][k] * b[k][c] for k in range(inner)),
-                           Fraction(0)) for c in range(cols))
-                 for r in range(rows))
+    """a times b; entries are Fractions or Polys, zero terms are skipped."""
+    cols = list(zip(*b))
+    return tuple(tuple(sum((x * y for x, y in zip(row, col) if x and y),
+                           Fraction(0))
+                       for col in cols) for row in a)
 
 
 def check_dominant(spec: ModuleSpec) -> None:
@@ -380,42 +381,6 @@ class IntertwineReport:
     passed: bool
 
 
-def _frac_times_poly_mat(f_mat, p_mat):
-    rows, inner = len(f_mat), len(p_mat)
-    cols = len(p_mat[0])
-    zero = Poly.constant(0)
-    out = []
-    for r in range(rows):
-        row = []
-        for c in range(cols):
-            acc = zero
-            for k in range(inner):
-                v = f_mat[r][k]
-                if v:
-                    acc = acc + p_mat[k][c] * v
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _poly_times_frac_mat(p_mat, f_mat):
-    rows, inner = len(p_mat), len(f_mat)
-    cols = len(f_mat[0])
-    zero = Poly.constant(0)
-    out = []
-    for r in range(rows):
-        row = []
-        for c in range(cols):
-            acc = zero
-            for k in range(inner):
-                v = f_mat[k][c]
-                if v:
-                    acc = acc + p_mat[r][k] * v
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def intertwine_check(spec: ModuleSpec, inter: Intertwiner) -> IntertwineReport:
     """Assert I T_ij(u) = T'_ij(u) I symbolically for all n^2 series."""
     src_grid, src_den = action_table(spec)
@@ -423,8 +388,8 @@ def intertwine_check(spec: ModuleSpec, inter: Intertwiner) -> IntertwineReport:
     n = spec.n
     for i in range(n):
         for j in range(n):
-            lhs = _frac_times_poly_mat(inter.matrix, src_grid[i][j])
-            rhs = _poly_times_frac_mat(tgt_grid[i][j], inter.matrix)
+            lhs = _mat_mul(inter.matrix, src_grid[i][j])
+            rhs = _mat_mul(tgt_grid[i][j], inter.matrix)
             for r in range(len(lhs)):
                 for c in range(len(lhs[0])):
                     if lhs[r][c] * tgt_den != rhs[r][c] * src_den:
@@ -472,20 +437,14 @@ def _column_echelon(matrix) -> tuple[list[list[Fraction]], list[int]]:
     return basis, pivots
 
 
-def laurent_tail_matrices(spec: ModuleSpec, depth: Optional[int] = None):
-    """Coefficients of u^-r, r = 1..depth, of every T_ij(u), as matrices.
-
-    Every entry is a proper rational function, so T_ij(u) = delta_ij plus a
-    power series in 1/u; the default depth 4m + 2 spans the coefficient space
-    of any sequence satisfying the entries' denominator recurrences.
-    """
+def _series_tails(spec: ModuleSpec, depth: Optional[int] = None):
+    """Yield (i, j, tails) per series T_ij(u), 0-based, nonzero terms only."""
     if depth is None:
         depth = 4 * spec.m + 2
     grid, den = action_table(spec)
     dim, n = spec.dim, spec.n
     dhat = list(reversed(den.coeffs))  # den monic => dhat[0] == 1
     k = len(dhat) - 1
-    out = []
     for i in range(n):
         for j in range(n):
             coeffs = [[[Fraction(0)] * dim for _ in range(dim)]
@@ -510,81 +469,136 @@ def laurent_tail_matrices(spec: ModuleSpec, depth: Optional[int] = None):
                         if series[t]:
                             coeffs[t - 1][r][c] = series[t]
                             nonzero[t - 1] = True
-            for t in range(depth):
-                if nonzero[t]:
-                    out.append(coeffs[t])
-    return out
+            yield i, j, [coeffs[t] for t in range(depth) if nonzero[t]]
+
+
+def laurent_tail_matrices(spec: ModuleSpec, depth: Optional[int] = None):
+    """Coefficients of u^-r, r = 1..depth, of every T_ij(u), as matrices.
+
+    Every entry is a proper rational function, so T_ij(u) = delta_ij plus a
+    power series in 1/u; the default depth 4m + 2 spans the coefficient space
+    of any sequence satisfying the entries' denominator recurrences.
+    """
+    return [mat for _, _, tails in _series_tails(spec, depth) for mat in tails]
 
 
 _CLOSURE_PRIMES = (1_000_003, 1_000_033, 1_000_037)
 
 
-def _closure_dimension_mod_p(ops_int, start: int, r: int, p: int) -> int:
-    """Dimension of the invariant closure of basis vector `start` mod p."""
-    basis: dict[int, list[int]] = {}  # pivot -> reduced row
-
-    def reduce_add(vec) -> bool:
-        vec = [x % p for x in vec]
-        for pv, row in basis.items():
-            if vec[pv]:
-                f = vec[pv]
-                vec = [(x - f * y) % p for x, y in zip(vec, row)]
-        lead = next((i for i, x in enumerate(vec) if x), None)
-        if lead is None:
-            return False
-        inv = pow(vec[lead], p - 2, p)
-        basis[lead] = [(x * inv) % p for x in vec]
-        return True
-
-    queue = [[1 if i == start else 0 for i in range(r)]]
-    reduce_add(queue[0])
-    while queue and len(basis) < r:
-        vec = queue.pop()
-        for op in ops_int:
-            img = [sum(op[rr][cc] * vec[cc] for cc in range(r)) % p
-                   for rr in range(r)]
-            if reduce_add(img):
-                queue.append(img)
-    return len(basis)
+def _cleared(rows) -> tuple[int, list[list[int]]]:
+    """(d, d * rows) for the least common denominator d of the entries."""
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row]
+               for row in rows]
 
 
-def _closure_dimension_exact(ops, start: int, r: int) -> int:
-    basis: dict[int, list[Fraction]] = {}
+def _restricted_tails(target: ModuleSpec, basis, pivots):
+    """Every tail operator of the target restricted to the image, in integers.
 
-    def reduce_add(vec) -> bool:
-        vec = list(vec)
-        for pv, row in basis.items():
-            if vec[pv]:
-                f = vec[pv]
+    With the tail O and the basis B (as columns) cleared to integers, the
+    restriction is R = (O B)[pivots], and d_B O B = B R certifies that the
+    image is invariant.  R is the restricted operator times d_O d_B.  Returns
+    the distinct nonzero restrictions, the rows of those of the raising
+    series (i < j) stacked, and the scales d_O d_B.
+    """
+    d_b, cols = _cleared(basis)
+    b_rows = list(zip(*cols))
+    pivot_set = set(pivots)
+    # B is d_B times the identity on the pivot rows: only the others can fail
+    off_pivot = [i for i in range(len(b_rows)) if i not in pivot_set]
+    ops, raising, scales = {}, {}, set()
+    for i, j, tails in _series_tails(target):
+        for mat in tails:
+            d_o, o = _cleared(mat)
+            ob = [[sum(map(mul, row, col)) for col in cols] for row in o]
+            restricted = tuple(tuple(ob[pv]) for pv in pivots)
+            r_cols = list(zip(*restricted))
+            for q in off_pivot:
+                if ([sum(map(mul, b_rows[q], col)) for col in r_cols]
+                        != [d_b * x for x in ob[q]]):
+                    raise IntertwiningViolated(
+                        "image is not invariant under the target action")
+            if any(any(row) for row in restricted):
+                ops[restricted] = None
+                if i < j:
+                    raising[restricted] = None
+                scales.add(d_o * d_b)
+    return list(ops), [row for op in raising for row in op], scales
+
+
+def _span_dimension(vectors, ops=(), p: Optional[int] = None) -> int:
+    """Dimension of the smallest ops-invariant space holding the vectors.
+
+    Integer input is reduced mod p; with p None the arithmetic is exact.
+    """
+    if p:
+        ops = [[[x % p for x in row] for row in op] for op in ops]
+    rows: dict[int, list] = {}  # pivot -> echelon row with 1 at the pivot
+    # (op, vector) pairs whose product is still due: an image is formed only
+    # when popped, so none is formed once the span is full
+    queue = [(None, vec) for vec in vectors]
+    while queue:
+        op, vec = queue.pop()
+        if op is not None:
+            vec = [sum(map(mul, row, vec)) for row in op]
+        for pv, row in rows.items():
+            f = vec[pv] % p if p else vec[pv]
+            if f:
                 vec = [x - f * y for x, y in zip(vec, row)]
+        if p:
+            vec = [x % p for x in vec]
         lead = next((i for i, x in enumerate(vec) if x), None)
         if lead is None:
-            return False
-        f = vec[lead]
-        basis[lead] = [x / f for x in vec]
-        return True
+            continue
+        inv = pow(vec[lead], -1, p) if p else 1 / Fraction(vec[lead])
+        new = [x * inv % p if p else x * inv for x in vec]
+        rows[lead] = new
+        if len(rows) == len(new):
+            break
+        queue.extend((op, new) for op in ops)
+    return len(rows)
 
-    queue = [[Fraction(1 if i == start else 0) for i in range(r)]]
-    reduce_add(queue[0])
-    while queue and len(basis) < r:
-        vec = queue.pop()
-        for op in ops:
-            img = [sum((op[rr][cc] * vec[cc] for cc in range(r)), Fraction(0))
-                   for rr in range(r)]
-            if reduce_add(img):
-                queue.append(img)
-    return len(basis)
+
+def _singular_line(stacked, r: int) -> Optional[list[Fraction]]:
+    """A vector spanning the kernel of the r-column rows, if that is a line."""
+    rows, pivots = _column_echelon(  # reduced basis of the row space
+        [[Fraction(row[c]) for row in stacked] for c in range(r)])
+    if len(pivots) != r - 1:
+        return None
+    free = next(c for c in range(r) if c not in pivots)
+    vec = [Fraction(int(c == free)) for c in range(r)]
+    for pv, row in zip(pivots, rows):
+        vec[pv] = -row[free]
+    return vec
 
 
 def image_analysis(spec: ModuleSpec, inter: Intertwiner) -> ImageReport:
-    """Rank, image basis, and the invariant-closure irreducibility verdict.
+    """Rank, image basis, and the irreducibility verdict of the image.
 
-    The image of an intertwining operator is invariant under the target
-    action; invariance is certified exactly, the operators are restricted to
-    image coordinates, and the closure of each image basis vector must fill
-    the image.  Closures run modulo a large prime first (a full-dimensional
-    closure mod p is already exact proof) with an exact rational fallback.
-    Dimensions above 512 are reported as not checked (irreducible=None).
+    The image V (rank r) of an intertwining operator is a submodule of the
+    target.  Its invariance under every Laurent-tail coefficient (all n^2
+    series, depths 1..4m+2) is certified exactly, in integers, and gives
+    the operators restricted to V.
+
+    Every nonzero finite-dimensional Y(gl_n)-module holds a nonzero singular
+    vector, one killed by all t_ij(u) with i < j, and the singular vectors
+    of an irreducible one form a line (Molev, Yangians and Classical Lie
+    Algebras, 2007, ch. 3).  With xi' the target's distinguished vector,
+      (a) xi' lies in V and every raising tail (i < j) kills it,
+      (b) the closure of xi' under all restricted operators fills V, and
+      (c) the raising tails, stacked, have rank r - 1 on V, so the singular
+          space is C xi'.
+    Given (a), V is irreducible if and only if (b) and (c) hold: a nonzero
+    submodule holds a singular vector, hence xi', hence V; an irreducible V
+    has a one-dimensional singular space.  Where (a) fails, V misses xi'
+    (no image of a normalized operator does) and the singular space is
+    computed exactly: V is irreducible if and only if it is a line whose
+    vector generates V.
+
+    (b) and (c) run modulo the primes of _CLOSURE_PRIMES first, where a
+    full closure, or rank r - 1, is proof (rank only drops mod p, and (a)
+    caps it at r - 1); otherwise exact rationals decide.  Dimensions above
+    512 are reported as not checked (irreducible=None).
     """
     basis, pivots = _column_echelon(inter.matrix)
     r = len(basis)
@@ -594,59 +608,21 @@ def image_analysis(spec: ModuleSpec, inter: Intertwiner) -> ImageReport:
     if len(inter.matrix) > 512:
         return ImageReport(spec, r, image, None)
 
-    tail = laurent_tail_matrices(inter.target_spec)
-    dim_t = len(inter.matrix)
-
-    def coords_of(vec) -> Optional[list[Fraction]]:
-        co = [vec[pv] for pv in pivots]
-        rebuilt = [sum((co[k] * basis[k][i] for k in range(r)), Fraction(0))
-                   for i in range(dim_t)]
-        return co if rebuilt == list(vec) else None
-
-    restricted = []
-    for op in tail:
-        cols = []
-        for b in basis:
-            img = [sum((op[i][j] * b[j] for j in range(dim_t)), Fraction(0))
-                   for i in range(dim_t)]
-            co = coords_of(img)
-            if co is None:
-                raise IntertwiningViolated(
-                    "image is not invariant under the target action")
-            cols.append(co)
-        mat = [[cols[c][rr] for c in range(r)] for rr in range(r)]
-        if any(any(row) for row in mat):
-            restricted.append(mat)
-
-    # de-duplicate operators
-    seen = set()
-    unique_ops = []
-    for mat in restricted:
-        key = tuple(tuple(row) for row in mat)
-        if key not in seen:
-            seen.add(key)
-            unique_ops.append(mat)
-
-    int_ops = []  # (denominator lcm, integer-cleared matrix) per operator
-    for mat in unique_ops:
-        lcm = 1
-        for row in mat:
-            for x in row:
-                lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        int_ops.append((lcm, [[int(x * lcm) for x in row] for row in mat]))
-
-    irreducible = True
-    for start in range(r):
-        proved = False
-        for p in _CLOSURE_PRIMES:
-            if any(lcm % p == 0 for lcm, _ in int_ops):
-                continue
-            ops_p = [m for _, m in int_ops]
-            # full closure mod p forces full closure over the rationals
-            if _closure_dimension_mod_p(ops_p, start, r, p) == r:
-                proved = True
-                break
-        if not proved and _closure_dimension_exact(unique_ops, start, r) != r:
-            irreducible = False
-            break
+    ops, raising, scales = _restricted_tails(inter.target_spec, basis, pivots)
+    primes = [p for p in _CLOSURE_PRIMES if all(s % p for s in scales)]
+    h = highest_vector(inter.target_spec).index
+    xi = [int(q == h) for q in range(len(inter.matrix))]
+    k = basis.index(xi) if xi in basis else None
+    line = None
+    if (k is not None and not any(row[k] for row in raising)
+            and any(_span_dimension(raising, (), p) == r - 1
+                    for p in primes)):
+        line = [int(q == k) for q in range(r)]  # (a), then (c) mod p
+    if line is None:
+        exact_line = _singular_line(raising, r)
+        if exact_line is None:
+            return ImageReport(spec, r, image, False)
+        line = _cleared([exact_line])[1][0]
+    irreducible = (any(_span_dimension([line], ops, p) == r for p in primes)
+                   or _span_dimension([line], ops) == r)
     return ImageReport(spec, r, image, irreducible)

@@ -417,10 +417,10 @@ def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
     vs = _integer_samples(per_axis, poles, -1, -1)
 
     n, dim = spec.n, spec.dim
+    v_actions = [(v0, *_numeric_action(spec, v0)) for v0 in vs]
     for u0 in us:
         X, bx = _numeric_action(spec, u0)
-        for v0 in vs:
-            Y, by = _numeric_action(spec, v0)
+        for v0, Y, by in v_actions:
             worst = 2 * abs(u0 - v0) * dim * bx * by
             dtype = np.int64 if worst < 2 ** 62 else object
             Xd, Yd = X.astype(dtype), Y.astype(dtype)

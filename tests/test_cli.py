@@ -122,6 +122,15 @@ def test_realize_rejects_junk(capsys, monkeypatch):
     assert "JSON" in err
 
 
+def test_realize_irrational_roots_is_invalid(capsys, monkeypatch):
+    # P = u^2 + 1 has no rational roots: rejected as input, not a traceback
+    data = {"P": [["1", "0", "1"]], "Qn": {"num": ["1"], "den": ["1"]}}
+    code, out, err = run(capsys, monkeypatch, ["realize"],
+                         stdin=json.dumps(data))
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input:") and err.count("\n") == 1
+
+
 def test_reduce_fuses_pairs(capsys, monkeypatch):
     pairs = '[[1,"0"],[-2,"0"],[2,"3"],[-2,"3"]]'
     code, out, _ = run(capsys, monkeypatch, ["reduce", "--n", "2"],

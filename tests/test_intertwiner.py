@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ylab.intertwiner as itw
@@ -344,6 +344,29 @@ def test_image_exact_fallback_agrees(monkeypatch):
     assert report.rank == 3 and report.irreducible is True
 
 
+@pytest.mark.parametrize("mu", [(0, -1), (1, 0), (-1, 0)])
+def test_image_of_reducible_module_is_not_irreducible(mu):
+    # (0, -1) and (1, 0): the module holds the kernel of its canonical
+    # operator.  (-1, 0), the factor-reversed kernel witness: its
+    # distinguished vector is its only singular vector, yet generates just
+    # a three-dimensional submodule.
+    spec = spec_of(2, mu, (1, 1))
+    report = image_analysis(spec, Intertwiner(spec, spec, identity_matrix(4)))
+    assert report.rank == 4 and report.irreducible is False
+
+
+def test_image_without_distinguished_vector():
+    # the kernel of the canonical operator is a one-dimensional submodule
+    # that misses the distinguished vector: irreducible all the same
+    spec = spec_of(2, (0, -1), (1, 1))
+    kernel = (F(0), F(1), F(-1), F(0))
+    assert not any(sum(a * b for a, b in zip(row, kernel))
+                   for row in build_I(spec).matrix)
+    onto_kernel = tuple((x, F(0), F(0), F(0)) for x in kernel)
+    report = image_analysis(spec, Intertwiner(spec, spec, onto_kernel))
+    assert report.rank == 1 and report.irreducible is True
+
+
 def test_image_large_dimension_not_checked():
     spec = spec_of(2, (0,) * 10, (1,) * 10)     # dim 1024
     ident = Intertwiner(spec, spec.permuted(tuple(range(10, 0, -1))),
@@ -384,3 +407,17 @@ def test_property_intertwine_and_normalize(spec):
 @settings(max_examples=10, deadline=None)
 def test_property_elementary_chain_sign(spec):
     assert elementary_composition_check(spec)
+
+
+@given(dominant_specs())
+@example(spec_of(2, (0, -1), (1, 1)))
+@example(spec_of(2, (0, -1, -2), (-1, -1, -1)))     # rank 4 of 8
+@settings(max_examples=20, deadline=None)
+def test_property_image_verdicts(spec):
+    # the canonical image is irreducible; the module itself is irreducible
+    # exactly when the canonical operator is injective
+    report = image_analysis(spec, build_I(spec))
+    assert report.irreducible is True
+    whole = image_analysis(spec, Intertwiner(spec, spec,
+                                             identity_matrix(spec.dim)))
+    assert whole.irreducible is (report.rank == spec.dim)
