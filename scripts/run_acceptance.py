@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the twelve acceptance criteria and print one verdict line each.
 
-Exits 0 only if every criterion passes.  Failures are printed with their
-reason and do not stop the remaining criteria from running.
+Every verdict line ends with the criterion's wall time.  Exits 0 only if
+every criterion passes.  Failures are printed with their reason and do not
+stop the remaining criteria from running.
 """
 
 import sys
@@ -15,12 +16,14 @@ def main() -> int:
     started = time.perf_counter()
     failures = 0
     for fn in ALL_CRITERIA:
+        begun = time.perf_counter()
         try:
-            print(fn().line(), flush=True)
+            print(fn().line(), flush=True)  # the line carries its own time
         except Exception as exc:
             failures += 1
             number = fn.__name__.rsplit("_", 1)[-1]
-            print(f"criterion {int(number):2d}: FAIL ({exc})", flush=True)
+            print(f"criterion {int(number):2d}: FAIL "
+                  f"({exc}; {time.perf_counter() - begun:.1f}s)", flush=True)
     total = time.perf_counter() - started
     verdict = "all passed" if failures == 0 else f"{failures} FAILED"
     print(f"-- {len(ALL_CRITERIA)} criteria, {verdict}, {total:.1f}s total")

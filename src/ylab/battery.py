@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .intertwiner import NotDominant, check_dominant
+from .intertwiner import is_dominant
 from .yangian import ModuleSpec
 
 
@@ -62,14 +62,6 @@ def rtt_battery(cfg: BatteryConfig = DEFAULT) -> list[ModuleSpec]:
                 for mu in _mu_grid(cfg, m):
                     out.append(ModuleSpec.make(n, mu, nu))
     return out
-
-
-def is_dominant(spec: ModuleSpec) -> bool:
-    try:
-        check_dominant(spec)
-    except NotDominant:
-        return False
-    return True
 
 
 # Three-row extension: the two-row battery exercises every pair branch, so

@@ -29,7 +29,7 @@ from .exact import IrrationalRoots
 from .glmops import ForbiddenWeightDifference
 from .intertwiner import (NotDominant, NotReduced, ReducedWord,
                           _column_echelon, build_I, intertwine_check,
-                          word_independence_check)
+                          is_dominant, word_independence_check)
 from .jsonio import MalformedInput
 from .yangian import (ModuleSpec, eigen_closed, eigen_series, eigenform_check,
                       highest_vector, rtt_check)
@@ -76,12 +76,16 @@ def _cache_dir(args) -> Optional[str]:
 
 
 def cache_get(directory: str, key: str) -> Optional[str]:
+    """The cached report, or None on a miss; a damaged file is a miss."""
     path = os.path.join(directory, key + ".json")
     try:
         with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except FileNotFoundError:
-        return None
+            text = handle.read()
+        if jsonio.dumps(json.loads(text)) == text:  # not truncated, say
+            return text
+    except (FileNotFoundError, ValueError):  # ValueError: not (UTF-8) JSON
+        pass
+    return None
 
 
 def cache_put(directory: str, key: str, text: str) -> None:
@@ -147,16 +151,10 @@ def cmd_build(spec: ModuleSpec) -> tuple[int, dict]:
     for a in range(spec.m - 1):
         d = lb[a] - lb[a + 1]
         pair_flags.append(not (d.denominator == 1 and d < 0))
-    dominant = True
-    for a in range(spec.m):
-        for b in range(a + 1, spec.m):
-            d = lb[a] - lb[b]
-            if d.denominator == 1 and d < 0:
-                dominant = False
     doc = {
         "command": "build",
         "dim": spec.dim,
-        "dominant": dominant,
+        "dominant": is_dominant(spec),
         "dominant_pairs": pair_flags,
         "eps": list(spec.eps),
         "factor_dims": list(spec.factor_dims),

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .exact import q
 from .glmops import LinearMap, operator_matrix
 from .grassmann import DimensionMismatch, Grassmann, GrassmannElt, perm_longest
-from .intertwiner import Intertwiner, _module_positions, build_I, check_dominant
+from .intertwiner import Intertwiner, _module_matrix, build_I, check_dominant
 from .yangian import ModuleSpec, highest_vector, wedge_basis
 
 
@@ -162,14 +162,8 @@ def dual_iso(spec: ModuleSpec,
     barred = ModuleSpec.make(spec.n, spec.mu, spec.nubar)
     target = ModuleSpec.make(spec.n, spec.mu + det_mus,
                              spec.nubar + (-spec.n,) * len(neg))
-    G = Grassmann(spec.m, spec.n)
-    rmat = R_eps(spec).matrix
-    src_pos = _module_positions(G, spec)
-    tgt_pos = _module_positions(G, barred)
-    dim = spec.dim
-    mat = tuple(tuple(rmat[tgt_pos[r]][src_pos[c]] for c in range(dim))
-                for r in range(dim))
-    return Intertwiner(spec, target, mat)
+    return Intertwiner(spec, target,
+                       _module_matrix(spec, barred, R_eps(spec).matrix))
 
 
 # ------------------------------------------------------------- composite check

@@ -54,6 +54,22 @@ def EE_op(eps: Sequence[int], a: int, b: int, x: GrassmannElt) -> GrassmannElt:
     return out
 
 
+def mat_mul(a, b) -> tuple[tuple, ...]:
+    """The product a b of row-sequence matrices of ints, Fractions or Polys.
+    Zero terms are skipped; sums start from 0, so integers stay integers."""
+    b_terms = [[(c, y) for c, y in enumerate(row) if y] for row in b]
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, terms in zip(row, b_terms):
+            if x:
+                for c, y in terms:
+                    acc[c] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class LinearMap:
     """Dense rational matrix between two enumerated weight bases.
@@ -66,12 +82,6 @@ class LinearMap:
     codomain: tuple[int, ...]
     matrix: tuple[tuple[Fraction, ...], ...]
 
-    @classmethod
-    def identity(cls, nu: Sequence[int], size: int) -> "LinearMap":
-        rows = tuple(tuple(Fraction(1) if r == c else Fraction(0)
-                           for c in range(size)) for r in range(size))
-        return cls(tuple(nu), tuple(nu), rows)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.matrix), len(self.matrix[0]) if self.matrix else 0)
@@ -81,23 +91,10 @@ class LinearMap:
         if other.codomain != self.domain:
             raise ValueError(
                 f"cannot compose: inner weights {other.codomain} != {self.domain}")
-        rows_a, cols_a = self.shape
-        rows_b, cols_b = other.shape
-        if cols_a != rows_b:
+        if self.shape[1] != other.shape[0]:
             raise ValueError("inner matrix dimensions disagree")
-        bt = list(zip(*other.matrix)) if other.matrix else []
-        prod = tuple(
-            tuple(sum((ra[k] * bc[k] for k in range(cols_a)), Fraction(0))
-                  for bc in bt)
-            for ra in self.matrix)
-        return LinearMap(other.domain, self.codomain, prod)
-
-    def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        rows, cols = self.shape
-        if len(vec) != cols:
-            raise ValueError("vector length does not match map domain")
-        return [sum((row[c] * vec[c] for c in range(cols)), Fraction(0))
-                for row in self.matrix]
+        return LinearMap(other.domain, self.codomain,
+                         mat_mul(self.matrix, other.matrix))
 
     def scale(self, c) -> "LinearMap":
         c = Fraction(c)

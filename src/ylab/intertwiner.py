@@ -21,7 +21,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
-from .glmops import LinearMap, XY_op, operator_matrix
+from .glmops import XY_op, mat_mul, operator_matrix
 from .grassmann import (Grassmann, perm_apply, perm_compose, perm_identity,
                         perm_inverse, perm_longest, perm_transposition)
 from .yangian import ModuleSpec, action_table, highest_vector, wedge_basis
@@ -155,6 +155,14 @@ def _module_positions(G: Grassmann, spec: ModuleSpec) -> list[int]:
     return out
 
 
+def _module_matrix(source: ModuleSpec, target: ModuleSpec, rows,
+                   den: int = 1) -> tuple[tuple[Fraction, ...], ...]:
+    """rows / den, a map of Grassmann weight bases, on the module bases."""
+    G = Grassmann(source.m, source.n)
+    src, tgt = _module_positions(G, source), _module_positions(G, target)
+    return tuple(tuple(Fraction(rows[t][s], den) for s in src) for t in tgt)
+
+
 # ----------------------------------------------------------------- Intertwiner
 
 @dataclass(frozen=True)
@@ -176,16 +184,8 @@ class Intertwiner:
         """self after other; specs must chain."""
         if other.target_spec != self.spec:
             raise ValueError("intertwiners do not chain")
-        mat = _mat_mul(self.matrix, other.matrix)
+        mat = mat_mul(self.matrix, other.matrix)
         return Intertwiner(other.spec, self.target_spec, mat)
-
-
-def _mat_mul(a, b):
-    """a times b; entries are Fractions or Polys, zero terms are skipped."""
-    cols = list(zip(*b))
-    return tuple(tuple(sum((x * y for x, y in zip(row, col) if x and y),
-                           Fraction(0))
-                       for col in cols) for row in a)
 
 
 def check_dominant(spec: ModuleSpec) -> None:
@@ -199,18 +199,67 @@ def check_dominant(spec: ModuleSpec) -> None:
                     f"lambda-bar difference at ({a + 1}, {b + 1}) is {d}")
 
 
-def _intertwiner_from_map(spec: ModuleSpec, total: LinearMap, sign: int,
-                          target: ModuleSpec) -> Intertwiner:
-    G = Grassmann(spec.m, spec.n)
-    src_pos = _module_positions(G, spec)
-    tgt_pos = _module_positions(G, target)
-    dim = spec.dim
-    mat = tuple(tuple(sign * total.matrix[tgt_pos[r]][src_pos[c]]
-                      for c in range(dim)) for r in range(dim))
-    out = Intertwiner(spec, target, mat)
-    hv_s, hv_t = highest_vector(spec), highest_vector(target)
-    col = out.column(hv_s.index)
-    if any(col[r] != (1 if r == hv_t.index else 0) for r in range(dim)):
+def is_dominant(spec: ModuleSpec) -> bool:
+    """Whether check_dominant passes."""
+    try:
+        check_dominant(spec)
+    except NotDominant:
+        return False
+    return True
+
+
+class _RootFactors(dict):
+    """A dominant spec's factors of its canonical operator, built on first use.
+
+    Key (a, b) holds the series factor of that root pair (X on weight
+    lambda-bar when nubar_a >= nubar_b, else Y on weight mu; signed when any
+    degree is negative), key None the row relabeling by sigma_0, each cleared
+    as (d, d * rows).  No factor depends on the word.
+    """
+
+    def __init__(self, spec: ModuleSpec):
+        super().__init__()
+        check_dominant(spec)
+        self.spec = spec
+
+    def __missing__(self, pair):
+        spec = self.spec
+        G, weight = Grassmann(spec.m, spec.n), spec.abs_nu
+        if pair is None:
+            sigma0 = perm_longest(spec.m)
+            op = operator_matrix(G, lambda x: G.sym_act(sigma0, x), weight,
+                                 perm_apply(sigma0, weight))
+        else:
+            a, b = pair
+            eps = spec.eps if any(d < 0 for d in spec.nu) else None
+            if spec.nubar[a - 1] >= spec.nubar[b - 1]:
+                op = XY_op(G, "X", spec.lambar, a, b, weight, eps=eps)
+            else:
+                op = XY_op(G, "Y", spec.mu, a, b, weight, eps=eps)
+        self[pair] = cleared = _cleared(op.matrix)
+        return cleared
+
+
+def _assemble(factors: _RootFactors, word: ReducedWord) -> Intertwiner:
+    """The canonical operator along one word: the relabeling times the factors
+    in the word's normal order, in integers, over the denominators' product."""
+    spec = factors.spec
+    # pairs first, in the word's order, so a failing factor fails as it did
+    chain = [factors[pair] for pair in root_order(word).pairs]
+    den, total = factors[None]
+    for d, rows in chain:
+        den *= d
+        total = mat_mul(total, rows)
+    # the sign uses the original signed degrees, not the shifted ones: that
+    # is the only choice normalizing the distinguished vector for odd n
+    n_exp = sum(spec.nu[a] * spec.nu[b]
+                for a in range(spec.m) for b in range(a + 1, spec.m))
+    target = spec.permuted(perm_longest(spec.m))
+    out = Intertwiner(spec, target, _module_matrix(
+        spec, target, total, -den if n_exp % 2 else den))
+    hv = highest_vector(target).index
+    if out.column(highest_vector(spec).index) != tuple(
+            int(r == hv) for r in range(spec.dim)):
         raise ArithmeticError(
             "construction failed to normalize the distinguished vector")
     return out
@@ -220,40 +269,15 @@ def build_I(spec: ModuleSpec, word: Optional[ReducedWord] = None) -> Intertwiner
     """The canonical operator onto the factor-reversed module.
 
     Composes one rational series factor per root pair of the normal ordering
-    (X on weight lambda-bar when nubar_a >= nubar_b, else Y on weight mu;
-    both in the signed variant when any degree is negative), conjugates by
-    the realization maps, relabels rows by the reversing permutation, and
-    fixes the global sign so the distinguished vector maps to its partner.
+    (see _RootFactors), conjugates by the realization maps, relabels rows by
+    the reversing permutation, and fixes the global sign so the
+    distinguished vector maps to its partner.
     """
     if word is None:
         word = default_word(spec.m)
     if word.m != spec.m:
         raise ValueError(f"word is for m={word.m}, spec has m={spec.m}")
-    check_dominant(spec)
-    G = Grassmann(spec.m, spec.n)
-    weight = spec.abs_nu
-    rational = any(d < 0 for d in spec.nu)
-    eps = spec.eps if rational else None
-    nb, lb, mu = spec.nubar, spec.lambar, spec.mu
-
-    acc = LinearMap.identity(weight, spec.dim)
-    for a, b in root_order(word).pairs:
-        if nb[a - 1] >= nb[b - 1]:
-            factor = XY_op(G, "X", lb, a, b, weight, eps=eps)
-        else:
-            factor = XY_op(G, "Y", mu, a, b, weight, eps=eps)
-        acc = acc.compose(factor)
-
-    sigma0 = perm_longest(spec.m)
-    swap = operator_matrix(G, lambda x: G.sym_act(sigma0, x), weight,
-                           perm_apply(sigma0, weight))
-    total = swap.compose(acc)
-    # the sign uses the original signed degrees, not the shifted ones: that
-    # is the only choice normalizing the distinguished vector for odd n
-    n_exp = sum(spec.nu[a] * spec.nu[b]
-                for a in range(spec.m) for b in range(a + 1, spec.m))
-    sign = -1 if n_exp % 2 else 1
-    return _intertwiner_from_map(spec, total, sign, spec.permuted(sigma0))
+    return _assemble(_RootFactors(spec), word)
 
 
 # ------------------------------------------------------- elementary operators
@@ -288,14 +312,9 @@ def elementary(kind: str, spec: ModuleSpec, a: int) -> Intertwiner:
     factor = XY_op(G, "X" if kind == "I_a" else "Y", w, a, a + 1, weight)
     swap = operator_matrix(G, lambda x: G.sym_act(sig, x), weight,
                            perm_apply(sig, weight))
-    total = swap.compose(factor)
     target = spec.permuted(sig)
-    src_pos = _module_positions(G, spec)
-    tgt_pos = _module_positions(G, target)
-    dim = spec.dim
-    mat = tuple(tuple(total.matrix[tgt_pos[r]][src_pos[c]]
-                      for c in range(dim)) for r in range(dim))
-    return Intertwiner(spec, target, mat)
+    return Intertwiner(spec, target, _module_matrix(
+        spec, target, swap.compose(factor).matrix))
 
 
 def compose_elementary(spec: ModuleSpec,
@@ -361,14 +380,14 @@ class WordReport:
 
 
 def word_independence_check(spec: ModuleSpec) -> WordReport:
-    """Build the operator from every reduced word and insist they agree."""
+    """Assemble the operator along every reduced word; insist they agree."""
     if spec.m > 4:
         raise ValueError("word enumeration is limited to m <= 4")
+    factors = _RootFactors(spec)
     words = all_reduced_words(spec.m)
-    built = [build_I(spec, w) for w in words]
-    first = built[0]
-    for w, other in zip(words[1:], built[1:]):
-        if other.matrix != first.matrix:
+    first = _assemble(factors, words[0])
+    for w in words[1:]:
+        if _assemble(factors, w).matrix != first.matrix:
             raise WordDependenceViolated(
                 f"word {w.letters} disagrees with {words[0].letters} on {spec}")
     return WordReport(spec, len(words), True)
@@ -388,8 +407,8 @@ def intertwine_check(spec: ModuleSpec, inter: Intertwiner) -> IntertwineReport:
     n = spec.n
     for i in range(n):
         for j in range(n):
-            lhs = _mat_mul(inter.matrix, src_grid[i][j])
-            rhs = _mat_mul(tgt_grid[i][j], inter.matrix)
+            lhs = mat_mul(inter.matrix, src_grid[i][j])
+            rhs = mat_mul(tgt_grid[i][j], inter.matrix)
             for r in range(len(lhs)):
                 for c in range(len(lhs[0])):
                     if lhs[r][c] * tgt_den != rhs[r][c] * src_den:

@@ -227,3 +227,18 @@ def test_cache_ignores_out_flag_in_key(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, monkeypatch, argv2)
     assert code == 0
     assert out == first  # cache hit: byte-identical despite --out change
+
+
+def test_cache_truncated_entry_is_a_miss(capsys, monkeypatch, tmp_path):
+    argv = ["build", "--cache-dir", str(tmp_path)] + SPEC21
+    code, fresh, _ = run(capsys, monkeypatch, argv)
+    assert code == 0
+    (entry,) = tmp_path.iterdir()
+    entry.write_bytes(entry.read_bytes()[:20])
+    code, out, _ = run(capsys, monkeypatch, argv)
+    assert (code, out) == (0, fresh)  # recomputed, not the 20 bytes
+    assert entry.read_text(encoding="utf-8") == fresh  # and overwritten
+    entry.write_bytes(b"\xff" + fresh.encode("utf-8"))  # not UTF-8 at all
+    assert run(capsys, monkeypatch, argv)[:2] == (0, fresh)
+    monkeypatch.setattr(cli, "cmd_build", lambda spec: pytest.fail("a miss"))
+    assert run(capsys, monkeypatch, argv)[:2] == (0, fresh)  # a hit again

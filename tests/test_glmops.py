@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ylab.exact import Poly
 from ylab.glmops import (E_op, EE_op, ForbiddenWeightDifference, LinearMap,
-                         XY_op, operator_matrix)
+                         XY_op, mat_mul, operator_matrix)
 from ylab.grassmann import Grassmann, GrassmannElt
 
 
@@ -106,15 +107,29 @@ def test_EE_commutators_all_sign_vectors():
 
 # ------------------------------------------------------------------ LinearMap
 
+def identity_map(nu, size):
+    rows = tuple(tuple(F(int(r == c)) for c in range(size))
+                 for r in range(size))
+    return LinearMap(tuple(nu), tuple(nu), rows)
+
+
 def test_linear_map_identity_and_compose():
-    ident = LinearMap.identity((1, 0), 3)
+    ident = identity_map((1, 0), 3)
     assert ident.compose(ident) == ident
-    assert ident.apply([F(2), F(3), F(5)]) == [F(2), F(3), F(5)]
+
+
+def test_mat_mul_keeps_integers_and_takes_polys():
+    prod = mat_mul(((1, 0), (2, 3)), ((4, 5), (0, 6)))
+    assert prod == ((4, 5), (8, 28))
+    assert all(type(x) is int for row in prod for x in row)
+    u = Poly((0, 1))
+    assert mat_mul(((F(1, 2), 0), (0, 0)), ((u, u), (u, 0))) == \
+        ((u * F(1, 2), u * F(1, 2)), (0, 0))
 
 
 def test_linear_map_compose_checks_weights():
-    a = LinearMap.identity((1, 0), 2)
-    b = LinearMap.identity((0, 1), 2)
+    a = identity_map((1, 0), 2)
+    b = identity_map((0, 1), 2)
     with pytest.raises(ValueError):
         a.compose(b)
 
@@ -142,7 +157,7 @@ def test_X_frozen_example():
 def test_X_identity_when_lowering_kills():
     G = Grassmann(2, 1)
     lm = XY_op(G, "X", (5, 0), 1, 2, (1, 1))
-    assert lm == LinearMap.identity((1, 1), 1)
+    assert lm == identity_map((1, 1), 1)
 
 
 def test_forbidden_weight_difference():

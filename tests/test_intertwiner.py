@@ -7,8 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ylab.intertwiner as itw
+from ylab.battery import word_battery
+from ylab.glmops import XY_op, operator_matrix
+from ylab.grassmann import Grassmann, perm_apply, perm_longest
 from ylab.intertwiner import (Intertwiner, IntertwiningViolated, NotDominant,
-                              NotReduced, ReducedWord, all_reduced_words,
+                              NotReduced, ReducedWord,
+                              WordDependenceViolated, all_reduced_words,
                               build_I, check_dominant, compose_elementary,
                               default_word, elementary,
                               elementary_composition_check, image_analysis,
@@ -239,6 +243,71 @@ def test_word_independence_four_factors():
 def test_word_independence_caps_m():
     with pytest.raises(ValueError):
         word_independence_check(spec_of(1, (0,) * 5, (0,) * 5))
+
+
+def test_word_independence_builds_each_factor_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3:5])
+        return XY_op(*args, **kwargs)
+
+    monkeypatch.setattr(itw, "XY_op", counted)
+    spec = spec_of(2, (0, -2, -4, -6), (2, 1, 1, 2))
+    assert word_independence_check(spec).words == 16
+    assert sorted(calls) == [(a, b) for a in range(1, 4)
+                             for b in range(a + 1, 5)]
+
+
+def reference_I(spec, word):
+    """The canonical operator along the word, by textbook Fraction products."""
+    G = Grassmann(spec.m, spec.n)
+    weight = spec.abs_nu
+    eps = spec.eps if any(d < 0 for d in spec.nu) else None
+    sigma0 = perm_longest(spec.m)
+    total = operator_matrix(G, lambda x: G.sym_act(sigma0, x), weight,
+                            perm_apply(sigma0, weight)).matrix
+    for a, b in root_order(word).pairs:
+        if spec.nubar[a - 1] >= spec.nubar[b - 1]:
+            factor = XY_op(G, "X", spec.lambar, a, b, weight, eps=eps)
+        else:
+            factor = XY_op(G, "Y", spec.mu, a, b, weight, eps=eps)
+        total = [[sum(row[k] * factor.matrix[k][c] for k in range(len(row)))
+                  for c in range(len(row))] for row in total]
+    n_exp = sum(spec.nu[a] * spec.nu[b]
+                for a in range(spec.m) for b in range(a + 1, spec.m))
+    sign = -1 if n_exp % 2 else 1
+    src = itw._module_positions(G, spec)
+    tgt = itw._module_positions(G, spec.permuted(sigma0))
+    return tuple(tuple(sign * total[tgt[r]][src[c]] for c in range(spec.dim))
+                 for r in range(spec.dim))
+
+
+def test_build_matches_fraction_reference_on_every_word():
+    for m, specs in word_battery().items():
+        for spec in specs:
+            for word in all_reduced_words(m):
+                assert build_I(spec, word).matrix == reference_I(spec, word)
+
+
+@pytest.mark.parametrize("which", [0, -1])
+def test_word_independence_detects_one_perturbed_word(monkeypatch, which):
+    spec = word_battery()[4][1]
+    odd = all_reduced_words(4)[which]
+    assemble = itw._assemble
+
+    def perturbed(factors, word):
+        out = assemble(factors, word)
+        if word != odd:
+            return out
+        rows = [list(row) for row in out.matrix]
+        rows[-1][0] += F(1, 3)
+        return Intertwiner(out.spec, out.target_spec,
+                           tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(itw, "_assemble", perturbed)
+    with pytest.raises(WordDependenceViolated):
+        word_independence_check(spec)
 
 
 # -------------------------------------------------------- intertwining check
