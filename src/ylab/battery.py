@@ -9,25 +9,18 @@ products only repeat the same branch combinations with worse runtimes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
 from fractions import Fraction
 
 from .intertwiner import is_dominant
 from .yangian import ModuleSpec
 
-
-@dataclass(frozen=True)
-class BatteryConfig:
-    """Knobs for battery generation; defaults match the acceptance runs."""
-
-    max_n: int = 3
-    rtt_max_m: int = 2
-    mu_values: tuple = (Fraction(0), Fraction(1), Fraction(-1),
-                        Fraction(1, 2))
-    dim_cap: int = 512
-
-
-DEFAULT = BatteryConfig()
+# Extent of the batteries: n up to MAX_N, the rtt battery's row counts, its
+# shift grid, and the dimension cap of the dominant battery.
+MAX_N = 3
+RTT_MAX_M = 2
+MU_VALUES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2))
+DIM_CAP = 512
 
 
 def nu_family(n: int, m: int) -> tuple[tuple[int, ...], ...]:
@@ -46,20 +39,13 @@ def nu_family(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _mu_grid(cfg: BatteryConfig, m: int):
-    grids = [()]
-    for _ in range(m):
-        grids = [g + (z,) for g in grids for z in cfg.mu_values]
-    return grids
-
-
-def rtt_battery(cfg: BatteryConfig = DEFAULT) -> list[ModuleSpec]:
+def rtt_battery() -> list[ModuleSpec]:
     """Every covering spec with m <= 2: the defining-relation battery."""
     out = []
-    for n in range(1, cfg.max_n + 1):
-        for m in range(1, cfg.rtt_max_m + 1):
+    for n in range(1, MAX_N + 1):
+        for m in range(1, RTT_MAX_M + 1):
             for nu in nu_family(n, m):
-                for mu in _mu_grid(cfg, m):
+                for mu in itertools.product(MU_VALUES, repeat=m):
                     out.append(ModuleSpec.make(n, mu, nu))
     return out
 
@@ -85,20 +71,20 @@ THREE_ROW_SPECS = (
 KERNEL_SPEC = ModuleSpec.make(2, (0, -1), (1, 1))
 
 
-def dominant_battery(cfg: BatteryConfig = DEFAULT) -> list[ModuleSpec]:
+def dominant_battery() -> list[ModuleSpec]:
     """Dominant specs the intertwiner criteria run on (m <= 3, capped dim)."""
-    out = [spec for spec in rtt_battery(cfg)
-           if is_dominant(spec) and spec.dim <= cfg.dim_cap]
+    out = [spec for spec in rtt_battery()
+           if is_dominant(spec) and spec.dim <= DIM_CAP]
     out.extend(spec for spec in THREE_ROW_SPECS
-               if spec.n <= cfg.max_n and spec.dim <= cfg.dim_cap)
+               if spec.n <= MAX_N and spec.dim <= DIM_CAP)
     if KERNEL_SPEC not in out:
         out.append(KERNEL_SPEC)
     return out
 
 
-def mixed_battery(cfg: BatteryConfig = DEFAULT) -> list[ModuleSpec]:
+def mixed_battery() -> list[ModuleSpec]:
     """Dominant battery specs with at least one negative-degree row."""
-    return [spec for spec in dominant_battery(cfg)
+    return [spec for spec in dominant_battery()
             if any(d < 0 for d in spec.nu)]
 
 

@@ -25,7 +25,7 @@ from . import jsonio
 from .drinfeld import (CommonZeroes, NoSolution, PairSet, classify_kind,
                        data_of_module, pair_set, realize, reduce_minimal)
 from .duality import composite_check, iso_covector
-from .exact import IrrationalRoots
+from .exact import IrrationalRoots, q_str
 from .glmops import ForbiddenWeightDifference
 from .intertwiner import (NotDominant, NotReduced, ReducedWord,
                           _column_echelon, build_I, intertwine_check,
@@ -158,8 +158,8 @@ def cmd_build(spec: ModuleSpec) -> tuple[int, dict]:
         "dominant_pairs": pair_flags,
         "eps": list(spec.eps),
         "factor_dims": list(spec.factor_dims),
-        "lam": [jsonio.rational_str(x) for x in spec.lam],
-        "lambar": [jsonio.rational_str(x) for x in spec.lambar],
+        "lam": [q_str(x) for x in spec.lam],
+        "lambar": [q_str(x) for x in spec.lambar],
         "nubar": list(spec.nubar),
         "spec": jsonio.spec_obj(spec),
     }

@@ -7,7 +7,7 @@ reduced, positive denominator, arbitrary precision).  This module adds:
   * `Poly`    -- univariate polynomials over Q in a formal variable u,
                  coefficients stored lowest degree first,
   * `RatFun`  -- reduced rational functions num/den with monic denominator,
-  * `pochhammer`, `poly_shift`, `factor_linear` -- the scalar utilities the
+  * `pochhammer`, `factor_linear` -- the scalar utilities the
                  representation-theoretic layers need.
 
 No floating point is used anywhere; equality is always structural equality of
@@ -16,6 +16,7 @@ canonical forms.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -256,20 +257,6 @@ class Poly:
                 work[k] += c * work[k + 1]
         return Poly(work)
 
-    def int_cleared(self) -> tuple[list[int], int]:
-        """Return (integer coefficient list, positive scale) with
-        scale * p having integer coefficients.  Used by sampling kernels."""
-        scale = 1
-        for c in self.coeffs:
-            scale = scale * c.denominator // _gcd(scale, c.denominator)
-        return [int(c * scale) for c in self.coeffs], scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
 
 def _as_poly(x) -> Poly:
     if isinstance(x, Poly):
@@ -282,11 +269,6 @@ def _as_poly(x) -> Poly:
 ZERO = Poly()
 ONE = Poly((1,))
 U = Poly((0, 1))
-
-
-def poly_shift(p: Poly, c: Scalar) -> Poly:
-    """q(u) = p(u + c)."""
-    return p.shift(c)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -302,104 +284,55 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # rational-root factoring
 # ---------------------------------------------------------------------------
 
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+def _cleared(rows) -> tuple[int, list[list[int]]]:
+    """(d, d * rows) for the least common denominator d of the entries."""
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row]
+               for row in rows]
 
 
-def _is_probable_prime(n: int) -> bool:
-    # deterministic Miller-Rabin for n < 3.3e24 with the fixed base set
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _brent_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
-    y, c, m = 2, 1, 128
-    while True:
-        x = y
-        g = r = ql = 1
-        q = 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = _gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = _gcd(abs(x - ys), n)
-        if g != n:
-            return g
-        c += 1  # rare cycle degeneracy: restart with a new constant
-
-
-def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {prime: exponent} (n must be nonzero)."""
-    n = abs(n)
-    if n == 0:
-        raise ValueError("cannot factor zero")
-    out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 7
-    # wheel over residues coprime to 30, bounded trial division
-    steps = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while f * f <= n and f < 100_000:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += steps[i]
-        i = (i + 1) % 8
-    stack = [n] if n > 1 else []
-    while stack:
-        v = stack.pop()
-        if v == 1:
-            continue
-        if _is_probable_prime(v):
-            out[v] = out.get(v, 0) + 1
-            continue
-        d = _brent_rho(v)
-        stack.append(d)
-        stack.append(v // d)
+def _eval_mod(cs: Sequence[int], x: int, m: int) -> int:
+    """cs(x) mod m, for integer coefficients cs lowest degree first."""
+    out = 0
+    for c in reversed(cs):
+        out = (out * x + c) % m
     return out
 
 
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factor_int(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return divs
+def _root_candidates(g: Poly) -> list[Fraction]:
+    """A list holding every rational root of a monic square-free g.
+
+    With l the common denominator of g, h(v) = l^(n-1) g(v / l) is monic
+    with integer coefficients, so its rational roots are integers bounded
+    by the Cauchy bound B.  The roots of h modulo the first prime at which
+    they are all simple are Newton-lifted until the modulus exceeds 2B, and
+    the symmetric representatives are the candidates (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 15).  A candidate is not yet
+    confirmed: g may have irrational roots that have simple roots mod p.
+    """
+    lead, (ints,) = _cleared([g.coeffs])
+    n = len(ints) - 1
+    h = [c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
+    dh = [k * c for k, c in enumerate(h)][1:]
+    bound = 1 + max(abs(c) for c in h[:-1])
+    p = 1
+    while True:
+        p += 1
+        if any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+            continue
+        hp = [c % p for c in h]
+        found = [r for r in range(p) if _eval_mod(hp, r, p) == 0]
+        if all(_eval_mod(dh, r, p) for r in found):
+            break
+    out = []
+    for r in found:
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            r = (r - _eval_mod(h, r, m) * pow(_eval_mod(dh, r, m), -1, m)) % m
+        out.append(Fraction(r if 2 * r <= m else r - m, lead))
+    return out
 
 
 def factor_linear(p: Poly) -> list[Fraction]:
@@ -407,7 +340,8 @@ def factor_linear(p: Poly) -> list[Fraction]:
 
     Returns the sorted root multiset.  Raises IrrationalRoots if any
     irreducible factor over Q has degree > 1; raises ValueError on the zero
-    polynomial or a non-monic input.
+    polynomial or a non-monic input.  The time is polynomial in the bit size
+    of p: no integer is factored.
     """
     if p.is_zero():
         raise ValueError("zero polynomial cannot be factored into linears")
@@ -421,14 +355,9 @@ def factor_linear(p: Poly) -> list[Fraction]:
         cs = cs[1:]
     p = Poly(cs)
     if p.degree > 0:
-        ints, _ = p.int_cleared()
-        lead, const = ints[-1], ints[0]
-        cand: set[Fraction] = set()
-        for r in _divisors(const):
-            for s in _divisors(lead):
-                cand.add(Fraction(r, s))
-                cand.add(Fraction(-r, s))
-        for z in sorted(cand):
+        deriv = Poly(k * c for k, c in enumerate(p.coeffs) if k)
+        # exact evaluation confirms each candidate and counts its multiplicity
+        for z in sorted(_root_candidates(p // poly_gcd(p, deriv))):
             while p.degree > 0 and p(z) == 0:
                 roots.append(z)
                 p = p // Poly((-z, 1))
@@ -556,7 +485,6 @@ def _coerce_poly(x) -> Poly:
     raise TypeError(f"cannot interpret {x!r} as a polynomial")
 
 
-RF_ZERO = RatFun(ZERO)
 RF_ONE = RatFun(ONE)
 
 

@@ -96,21 +96,6 @@ class LinearMap:
         return LinearMap(other.domain, self.codomain,
                          mat_mul(self.matrix, other.matrix))
 
-    def scale(self, c) -> "LinearMap":
-        c = Fraction(c)
-        return LinearMap(self.domain, self.codomain,
-                         tuple(tuple(c * v for v in row) for row in self.matrix))
-
-    def __add__(self, other: "LinearMap") -> "LinearMap":
-        if (self.domain, self.codomain) != (other.domain, other.codomain):
-            raise ValueError("cannot add maps with different weight data")
-        return LinearMap(self.domain, self.codomain, tuple(
-            tuple(x + y for x, y in zip(r1, r2))
-            for r1, r2 in zip(self.matrix, other.matrix)))
-
-    def __sub__(self, other: "LinearMap") -> "LinearMap":
-        return self + other.scale(-1)
-
 
 def operator_matrix(G: Grassmann,
                     op: Callable[[GrassmannElt], GrassmannElt],

@@ -323,18 +323,3 @@ class Grassmann:
         for a, i in self.slots_of(mono):
             rows[a - 1].append(i)
         return tuple(tuple(r) for r in rows)
-
-
-def g_mul(x: GrassmannElt, y: GrassmannElt) -> GrassmannElt:
-    if x.algebra.shape != y.algebra.shape:
-        raise DimensionMismatch(
-            f"operands from G_{x.algebra.shape} and G_{y.algebra.shape}")
-    return x.algebra.mul(x, y)
-
-
-def g_derive(a: int, i: int, x: GrassmannElt) -> GrassmannElt:
-    return x.algebra.derive(a, i, x)
-
-
-def sym_act(sigma: Sequence[int], x: GrassmannElt) -> GrassmannElt:
-    return x.algebra.sym_act(sigma, x)

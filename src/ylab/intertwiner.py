@@ -14,13 +14,13 @@ All of that is verified exactly, never numerically.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
+from .exact import _cleared
 from .glmops import XY_op, mat_mul, operator_matrix
 from .grassmann import (Grassmann, perm_apply, perm_compose, perm_identity,
                         perm_inverse, perm_longest, perm_transposition)
@@ -502,13 +502,6 @@ def laurent_tail_matrices(spec: ModuleSpec, depth: Optional[int] = None):
 
 
 _CLOSURE_PRIMES = (1_000_003, 1_000_033, 1_000_037)
-
-
-def _cleared(rows) -> tuple[int, list[list[int]]]:
-    """(d, d * rows) for the least common denominator d of the entries."""
-    d = math.lcm(*(x.denominator for row in rows for x in row))
-    return d, [[x.numerator * (d // x.denominator) for x in row]
-               for row in rows]
 
 
 def _restricted_tails(target: ModuleSpec, basis, pivots):

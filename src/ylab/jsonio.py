@@ -12,10 +12,9 @@ import json
 from fractions import Fraction
 
 from .drinfeld import DrinfeldData, PairSet
-from .exact import Poly, RatFun, q
-from .grassmann import Grassmann, GrassmannElt
+from .exact import Poly, q_str
 from .intertwiner import Intertwiner
-from .yangian import ActionMatrix, ModuleSpec
+from .yangian import ModuleSpec
 
 
 class MalformedInput(ValueError):
@@ -54,13 +53,6 @@ def _need_int(value, what: str) -> int:
 
 # ------------------------------------------------------------------ rationals
 
-def rational_str(x) -> str:
-    x = q(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def parse_rational(data) -> Fraction:
     if isinstance(data, bool) or not isinstance(data, (str, int)):
         raise MalformedInput(f"rational must be a 'p/q' string, got {data!r}")
@@ -74,28 +66,18 @@ def parse_rational(data) -> Fraction:
 
 def poly_obj(p: Poly) -> list:
     # low-to-high coefficients; the zero polynomial is the empty array
-    return [rational_str(c) for c in p.coeffs]
+    return [q_str(c) for c in p.coeffs]
 
 
 def parse_poly(data) -> Poly:
     return Poly(parse_rational(c) for c in _need_array(data, "polynomial"))
 
 
-def ratfun_obj(f: RatFun) -> dict:
-    return {"num": poly_obj(f.num), "den": poly_obj(f.den)}
-
-
-def parse_ratfun(data) -> RatFun:
-    data = _need_mapping(data, "rational function")
-    return RatFun(parse_poly(_need_key(data, "num", "rational function")),
-                  parse_poly(_need_key(data, "den", "rational function")))
-
-
 # -------------------------------------------------------------- module specs
 
 def spec_obj(spec: ModuleSpec) -> dict:
     return {"n": spec.n, "m": spec.m,
-            "mu": [rational_str(z) for z in spec.mu],
+            "mu": [q_str(z) for z in spec.mu],
             "nu": list(spec.nu)}
 
 
@@ -117,35 +99,12 @@ def parse_spec(data) -> ModuleSpec:
 
 # ----------------------------------------------------------- operator values
 
-def action_obj(am: ActionMatrix) -> dict:
-    return {"i": am.i, "j": am.j,
-            "entries": [[ratfun_obj(f) for f in row] for row in am.entries]}
-
-
 def intertwiner_obj(inter: Intertwiner, rank: int) -> dict:
     return {"source": spec_obj(inter.spec),
             "target": spec_obj(inter.target_spec),
-            "matrix": [[rational_str(v) for v in row]
+            "matrix": [[q_str(v) for v in row]
                        for row in inter.matrix],
             "rank": int(rank)}
-
-
-def grassmann_obj(x: GrassmannElt) -> list:
-    G = x.algebra
-    return [{"slots": [[a, i] for a, i in G.slots_of(mono)],
-             "coeff": rational_str(x.terms[mono])}
-            for mono in sorted(x.terms)]
-
-
-def parse_grassmann(G: Grassmann, data) -> GrassmannElt:
-    out = G.zero()
-    for term in _need_array(data, "algebra element"):
-        term = _need_mapping(term, "term")
-        slots = [(int(a), int(i)) for a, i in
-                 _need_array(_need_key(term, "slots", "term"), "slots")]
-        coeff = parse_rational(_need_key(term, "coeff", "term"))
-        out = out + G.monomial(slots).scale(coeff)
-    return out
 
 
 # -------------------------------------------------------- classification data
@@ -172,7 +131,7 @@ def parse_drinfeld(data) -> DrinfeldData:
 
 
 def pairset_obj(pairs: PairSet) -> list:
-    return [[i, rational_str(z)] for i, z in pairs.pairs]
+    return [[i, q_str(z)] for i, z in pairs.pairs]
 
 
 def parse_pairset(data) -> PairSet:

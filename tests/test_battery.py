@@ -2,9 +2,9 @@
 
 import pytest
 
-from ylab.battery import (DEFAULT, KERNEL_SPEC, BatteryConfig,
-                          dominant_battery, is_dominant, mixed_battery,
-                          nu_family, rtt_battery, word_battery)
+from ylab.battery import (DIM_CAP, KERNEL_SPEC, dominant_battery,
+                          is_dominant, mixed_battery, nu_family, rtt_battery,
+                          word_battery)
 from ylab.intertwiner import check_dominant
 
 
@@ -36,16 +36,11 @@ def test_rtt_battery_frozen_size():
     assert max(s.dim for s in battery) <= 16
 
 
-def test_rtt_battery_respects_config():
-    small = rtt_battery(BatteryConfig(max_n=1, rtt_max_m=1, mu_values=(0,)))
-    assert [s.nu for s in small] == [(1,), (-1,), (0,)]
-
-
 def test_dominant_battery():
     battery = dominant_battery()
     for spec in battery:
         check_dominant(spec)
-        assert spec.dim <= DEFAULT.dim_cap
+        assert spec.dim <= DIM_CAP
         assert spec.m <= 3
     assert KERNEL_SPEC in battery
     assert any(spec.m == 3 for spec in battery)

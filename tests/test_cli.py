@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -129,6 +131,24 @@ def test_realize_irrational_roots_is_invalid(capsys, monkeypatch):
                          stdin=json.dumps(data))
     assert code == 2 and out == ""
     assert err.startswith("invalid input:") and err.count("\n") == 1
+
+
+def test_realize_hard_constant_is_invalid_promptly():
+    # a 90-byte input whose constant has no small prime factor; run in a
+    # child process so that a regression to integer factoring fails on the
+    # timeout instead of stalling the suite
+    data = ('{"P":[["300000000000000001940000000000000002091","0","1"]],'
+            '"Qn":{"num":["1"],"den":["1"]}}')
+    env = dict(os.environ, YLAB_CACHE="")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (os.path.dirname(os.path.dirname(cli.__file__)),
+                      env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "ylab.cli", "realize"],
+                          input=data, capture_output=True, text=True,
+                          env=env, timeout=30)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("invalid input:")
+    assert done.stderr.count("\n") == 1
 
 
 def test_reduce_fuses_pairs(capsys, monkeypatch):

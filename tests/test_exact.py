@@ -1,5 +1,6 @@
 """Scalar/polynomial/rational-function layer: axioms and frozen values."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -8,12 +9,13 @@ import hypothesis.strategies as st
 
 from ylab.exact import (
     NEG_INF, ONE, U, ZERO, IrrationalRoots, PoleEvaluation, Poly, RatFun,
-    factor_int, factor_linear, linear, poly_gcd, poly_shift, pochhammer,
-    q, q_str,
+    factor_linear, linear, poly_gcd, pochhammer, q, q_str,
 )
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=50)
 small_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=8)
+big_rationals = st.builds(F, st.integers(-10**30, 10**30),
+                          st.integers(1, 10**30))
 polys = st.lists(small_rationals, max_size=6).map(Poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 
@@ -42,10 +44,10 @@ def test_zero_poly_degree_sentinel():
 
 
 def test_poly_shift_frozen_values():
-    assert poly_shift(U, 1) == Poly((1, 1))
-    assert poly_shift(U * U, -1) == Poly((1, -2, 1))
+    assert U.shift(1) == Poly((1, 1))
+    assert (U * U).shift(-1) == Poly((1, -2, 1))
     # expand (u + 1/2)^2 + (u + 1/2) by hand, then cross-check by evaluation
-    shifted = poly_shift(U * U + U, F(1, 2))
+    shifted = (U * U + U).shift(F(1, 2))
     assert shifted == Poly((F(3, 4), 2, 1))
     for x in (0, 1, 2):
         assert shifted(x) == (U * U + U)(x + F(1, 2))
@@ -53,7 +55,7 @@ def test_poly_shift_frozen_values():
 
 @given(polys, small_rationals)
 def test_poly_shift_inverts(p, c):
-    assert poly_shift(poly_shift(p, c), -c) == p
+    assert p.shift(c).shift(-c) == p
 
 
 @given(polys, polys, polys)
@@ -101,22 +103,36 @@ def test_factor_linear_frozen_values():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(small_rationals, max_size=5))
+@given(st.lists(small_rationals | big_rationals, max_size=5))
 def test_factor_linear_roundtrip(roots):
     assert factor_linear(Poly.from_roots(roots)) == sorted(roots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_rationals | big_rationals, max_size=4),
+       st.fractions(min_value=F(1, 10**6), max_value=10**30,
+                    max_denominator=10**6))
+def test_factor_linear_rejects_positive_quadratic(roots, c):
+    # u^2 + c with c > 0 has no real root, so no product with it splits
+    with pytest.raises(IrrationalRoots):
+        factor_linear(Poly.from_roots(roots) * Poly((c, 0, 1)))
+
+
+def test_factor_linear_hard_constants():
+    # no integer is factored: (10^19 + 51)(3 10^19 + 41), a product of two
+    # 20-digit numbers, and the product of the first 18 primes, which has
+    # 2^18 divisors, are answered at once
+    primorial = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+                           43, 47, 53, 59, 61))
+    for c in (300000000000000001940000000000000002091, primorial):
+        with pytest.raises(IrrationalRoots):
+            factor_linear(Poly((c, 0, 1)))
 
 
 def test_factor_linear_mixed_irreducible():
     # (u^2 + 1)(u - 1) has exactly one rational root but does not split
     with pytest.raises(IrrationalRoots):
         factor_linear(Poly((1, 0, 1)) * linear(1))
-
-
-def test_factor_int():
-    assert factor_int(1) == {}
-    assert factor_int(-12) == {2: 2, 3: 1}
-    big = 1000003 * 1000033
-    assert factor_int(big) == {1000003: 1, 1000033: 1}
 
 
 # -- RatFun -----------------------------------------------------------------
@@ -176,6 +192,7 @@ def test_ratfun_shift(n, d, c):
 def test_rational_strings():
     assert q_str(F(3)) == "3"
     assert q_str(F(-7, 2)) == "-7/2"
+    assert q_str(0) == "0"
     assert q("3") == 3
     assert q("-7/2") == F(-7, 2)
     with pytest.raises(TypeError):
