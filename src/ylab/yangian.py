@@ -21,12 +21,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import ONE, Poly, RatFun, linear, q
+from .exact import ONE, Poly, RatFun, _cleared, linear, q
 from .grassmann import perm_apply
 
 
@@ -440,10 +440,11 @@ def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
 
 # ----------------------------------------- product-form eigenvalue spectrum
 
-# Bivariate polynomials for the characteristic-polynomial elimination:
+# Bivariate polynomials for the characteristic polynomial and its split:
 # u-polynomials are plain int lists (low-to-high, no trailing zeros) and
-# t-polynomials are lists of those.  Everything is cleared to integers up
-# front so the inner loops never touch Fraction or gcd reduction.
+# t-polynomials are lists of those.  The matrix and the candidate roots are
+# cleared to integers up front, so elimination, root tests and deflation
+# never touch Fraction or gcd reduction.
 
 def _iu_trim(a: list[int]) -> list[int]:
     while a and not a[-1]:
@@ -535,48 +536,37 @@ def _it_div(a, b):
     return out
 
 
-def _char_poly_in_t(mat, den: Poly, dim: int) -> list[RatFun]:
-    """det(t - mat/den) via fraction-free elimination, cleared to Z[u][t].
+def _char_poly_in_t(mat, den: Poly, dim: int) -> list[list[int]]:
+    """det(t - mat/den) up to a nonzero scalar, in Z[u][t], low t first.
 
-    The matrix t*den - mat, scaled by the common denominator of all
-    coefficients, has integer bivariate entries; the elimination divides
-    exactly by the previous pivot at every step, and the final entry is
-    the characteristic polynomial times (scale*den)^dim.
+    The matrix t*den - mat, scaled by the common denominator L of all
+    coefficients, has integer bivariate entries; fraction-free elimination
+    divides exactly by the previous pivot at every step, and the final
+    entry is the characteristic polynomial times (L*den)^dim.  The scalar
+    moves no root in t, so it is kept.
     """
-    scale = 1
-    for row in mat:
-        for p in row:
-            for c in p.coeffs:
-                scale = lcm(scale, c.denominator)
-    for c in den.coeffs:
-        scale = lcm(scale, c.denominator)
-
-    def cleared(p: Poly, s: int) -> list[int]:
-        return _iu_trim([int(c * s) for c in p.coeffs])
-
-    dpoly = cleared(den, scale)
-    M = [[[cleared(mat[r][c], -scale), dpoly] if r == c
-          else [cleared(mat[r][c], -scale)]
+    _, rows = _cleared([p.coeffs for row in mat for p in row]
+                       + [den.coeffs])
+    dpoly = rows[-1]
+    M = [[[[-x for x in rows[r * dim + c]]] + ([dpoly] if r == c else [])
           for c in range(dim)] for r in range(dim)]
     prev = [[1]]
-    sign = 1
     for k in range(dim - 1):
-        if not any(M[k][k]):
-            swap = next(r for r in range(k + 1, dim) if any(M[r][k]))
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
+        # no pivoting: M[k][k] is a leading minor of degree k+1 in t, never 0
         for r in range(k + 1, dim):
             for c in range(k + 1, dim):
                 num = _it_sub(_it_mul(M[k][k], M[r][c]),
                               _it_mul(M[r][k], M[k][c]))
                 M[r][c] = _it_div(num, prev)
         prev = M[k][k]
-    out = M[dim - 1][dim - 1]
-    # undo the clearing: the char poly coefficient at t^k is out_k/(L*den)^dim
-    back = Poly.constant(Fraction(sign, scale ** dim))
-    for _ in range(dim):
-        back = back * den
-    return [RatFun(Poly(Fraction(x) for x in coeff), back) for coeff in out]
+    return M[dim - 1][dim - 1]
+
+
+def _primitive_pair(g: RatFun) -> tuple[list[int], list[int]]:
+    """Integer (N, D) with g = N/D and no integer dividing all of N and D."""
+    _, (num, den) = _cleared([g.num.coeffs, g.den.coeffs])
+    content = gcd(*num, *den)
+    return [x // content for x in num], [x // content for x in den]
 
 
 @dataclass(frozen=True)
@@ -611,33 +601,35 @@ def eigenform_check(spec: ModuleSpec) -> EigenReport:
     """Verify every T_ii(u) has spectrum drawn from the product-form list.
 
     Computes the characteristic polynomial of each diagonal generator matrix
-    over the rational-function field and deflates it by candidate roots
+    in Z[u][t] and deflates it by candidate roots
     g = prod_{a in I} (u-mu_a+1)/(u-mu_a) * prod_{a in J} (u-mu_a)/(u-mu_a+1);
-    raises NoCandidateFactorization if any factor refuses to split.
+    raises NoCandidateFactorization if any factor refuses to split.  With
+    g = N/D cleared to integers and primitive, g is a root of the degree-d
+    polynomial sum c_k t^k exactly when sum c_k N^k D^(d-k) = 0 in Z[u], and
+    D*t - N is then primitive in Z[u][t], so by Gauss's lemma it divides the
+    polynomial there (von zur Gathen and Gerhard, Modern Computer Algebra,
+    ch. 6): every step is exact integer arithmetic.
     """
     if spec.dim > 64:
         raise ValueError("spectrum check is limited to dimension <= 64")
     grid, den = action_table(spec)
-    cands = eigen_candidates(spec)
+    cands = [(_primitive_pair(g), label) for g, label
+             in sorted(eigen_candidates(spec).items(),
+                       key=lambda kv: str(kv[0]))]
     spectra = []
     for i in range(spec.n):
         char = _char_poly_in_t(grid[i][i], den, spec.dim)
         counts = []
-        for g, label in sorted(cands.items(), key=lambda kv: str(kv[0])):
+        for (N, D), label in cands:
             mult = 0
             while len(char) > 1:
-                val = char[-1]
+                val, dpow = char[-1], [1]
                 for c in reversed(char[:-1]):
-                    val = val * g + c
-                if not val.is_zero():
+                    dpow = _iu_mul(dpow, D)
+                    val = _iu_add(_iu_mul(val, N), _iu_mul(c, dpow))
+                if val:
                     break
-                # synthetic division by (t - g)
-                out = [None] * (len(char) - 1)
-                carry = char[-1]
-                for k in range(len(char) - 2, -1, -1):
-                    out[k] = carry
-                    carry = char[k] + carry * g
-                char = out
+                char = _it_div(char, [[-x for x in N], D])
                 mult += 1
             if mult:
                 counts.append((label[0], label[1], mult))

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ylab.yangian as ya
@@ -242,9 +242,80 @@ def test_spectrum_mixed_signs():
     assert report.passed and report.dim == 4
 
 
+def test_spectrum_multiplicity_two():
+    # equal shifts make I = (0,) and I = (1,) one candidate, first label kept
+    report = eigenform_check(ModuleSpec.make(2, (0, 0), (1, 1)))
+    expected = (((), (), 1), ((0,), (), 2), ((0, 1), (), 1))
+    assert report.spectrum == (expected, expected)
+
+
+def test_spectrum_missing_candidate_raises(monkeypatch):
+    orig = ya.eigen_candidates
+
+    def one_short(spec):
+        cands = orig(spec)
+        del cands[next(iter(cands))]
+        return cands
+
+    monkeypatch.setattr(ya, "eigen_candidates", one_short)
+    with pytest.raises(NoCandidateFactorization, match="degree 1 left"):
+        eigenform_check(ModuleSpec.make(2, (0, 5), (1, 1)))
+
+
 def test_spectrum_dimension_cap():
     with pytest.raises(ValueError):
         eigenform_check(ModuleSpec.make(3, (0, 1, 2, 3), (1, 1, 1, 1)))
+
+
+def _det(rows):
+    """Determinant by Gaussian elimination over Fractions."""
+    rows = [list(r) for r in rows]
+    out = F(1)
+    for k in range(len(rows)):
+        piv = next((r for r in range(k, len(rows)) if rows[r][k]), None)
+        if piv is None:
+            return F(0)
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            out = -out
+        out *= rows[k][k]
+        for r in range(k + 1, len(rows)):
+            f = rows[r][k] / rows[k][k]
+            for c in range(k, len(rows)):
+                rows[r][c] -= f * rows[k][c]
+    return out
+
+
+small_spec = st.integers(min_value=1, max_value=2).flatmap(
+    lambda n: st.lists(
+        st.tuples(st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(1, 3)]),
+                  st.integers(min_value=-n, max_value=n)),
+        min_size=1, max_size=3).map(
+        lambda pairs: ModuleSpec.make(n, [p[0] for p in pairs],
+                                      [p[1] for p in pairs])))
+point = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@given(small_spec, point, point)
+@settings(max_examples=25, deadline=None)
+def test_spectrum_matches_determinant_at_a_point(spec, u0, t0):
+    """det(t0 - T_ii(u0)) is the product of (t0 - g(u0)) over the spectrum."""
+    assume(all(u0 != z and u0 != z - 1 for z in spec.mu))
+    report = eigenform_check(spec)
+    for i in range(1, spec.n + 1):
+        entries = module_action(spec, i, i).entries
+        lhs = _det([[(t0 if r == c else 0) - x(u0) for c, x in enumerate(row)]
+                    for r, row in enumerate(entries)])
+        rhs = F(1)
+        for I, J, mult in report.spectrum[i - 1]:
+            g = F(1)
+            for a in I:
+                g *= (u0 - spec.mu[a] + 1) / (u0 - spec.mu[a])
+            for a in J:
+                g *= (u0 - spec.mu[a]) / (u0 - spec.mu[a] + 1)
+            rhs *= (t0 - g) ** mult
+        assert lhs == rhs
+        assert sum(mult for _, _, mult in report.spectrum[i - 1]) == spec.dim
 
 
 # ------------------------------------------------------------------ property
