@@ -16,28 +16,39 @@ import time
 from ylab.acceptance import ALL_CRITERIA
 
 
+def run_criteria(chosen=()):
+    """Yield (number, passed, verdict line, wall seconds) per criterion run.
+
+    Runs every criterion when `chosen` is empty, else those numbered in it.
+    """
+    for number, fn in enumerate(ALL_CRITERIA, 1):
+        if chosen and number not in chosen:
+            continue
+        begun, passed = time.perf_counter(), True
+        try:
+            line = fn().line()  # the line carries its own time
+        except Exception as exc:
+            passed = False
+            line = (f"criterion {number:2d}: FAIL "
+                    f"({exc}; {time.perf_counter() - begun:.1f}s)")
+        yield number, passed, line, time.perf_counter() - begun
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("criteria", nargs="*", type=int,
                         choices=range(1, len(ALL_CRITERIA) + 1),
                         metavar="N", help="criterion numbers to run")
     chosen = parser.parse_args(argv).criteria
-    selected = [fn for number, fn in enumerate(ALL_CRITERIA, 1)
-                if not chosen or number in chosen]
     started = time.perf_counter()
-    failures = 0
-    for fn in selected:
-        begun = time.perf_counter()
-        try:
-            print(fn().line(), flush=True)  # the line carries its own time
-        except Exception as exc:
-            failures += 1
-            number = fn.__name__.rsplit("_", 1)[-1]
-            print(f"criterion {int(number):2d}: FAIL "
-                  f"({exc}; {time.perf_counter() - begun:.1f}s)", flush=True)
+    runs = failures = 0
+    for _, passed, line, _ in run_criteria(chosen):
+        print(line, flush=True)
+        runs += 1
+        failures += not passed
     total = time.perf_counter() - started
     verdict = "all passed" if failures == 0 else f"{failures} FAILED"
-    print(f"-- {len(selected)} criteria, {verdict}, {total:.1f}s total")
+    print(f"-- {runs} criteria, {verdict}, {total:.1f}s total")
     return 1 if failures else 0
 
 

@@ -53,10 +53,6 @@ class DrinfeldData:
     def n(self) -> int:
         return len(self.P) + 1
 
-    def is_trivial(self) -> bool:
-        return (all(p == ONE for p in self.P)
-                and self.Qn_num == ONE and self.Qn_den == ONE)
-
 
 def classify_kind(data: DrinfeldData) -> str:
     """'polynomial' when the shift quotient needs no denominator."""

@@ -199,17 +199,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out, base = ONE, self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __divmod__(self, other: "Poly"):
         """Exact euclidean division over the field Q."""
         other = _as_poly(other)
@@ -406,12 +395,6 @@ class RatFun:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_one(self) -> bool:
-        return self.num == ONE and self.den == ONE
-
-    def is_polynomial(self) -> bool:
-        return self.den == ONE
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (Poly, int, Fraction)):
             other = RatFun.of(other)
@@ -458,11 +441,6 @@ class RatFun:
     def __rtruediv__(self, other) -> "RatFun":
         return RatFun.of(other) / self
 
-    def __pow__(self, n: int) -> "RatFun":
-        if n < 0:
-            return (RF_ONE / self) ** (-n)
-        return RatFun(self.num**n, self.den**n)
-
     def __call__(self, x: Scalar) -> Fraction:
         x = Fraction(x)
         d = self.den(x)
@@ -483,9 +461,6 @@ def _coerce_poly(x) -> Poly:
     if isinstance(x, (list, tuple)):
         return Poly(x)
     raise TypeError(f"cannot interpret {x!r} as a polynomial")
-
-
-RF_ONE = RatFun(ONE)
 
 
 def linear(z: Scalar) -> Poly:

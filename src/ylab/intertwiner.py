@@ -444,7 +444,8 @@ def _column_echelon(matrix) -> tuple[list[list[Fraction]], list[int]]:
         if lead is None:
             continue
         f = vec[lead]
-        vec = [x / f for x in vec]
+        if f != 1:
+            vec = [x / f for x in vec]
         basis.append(vec)
         pivots.append(lead)
     # back-substitute so each pivot row is zero in the other basis vectors

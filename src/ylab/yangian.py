@@ -38,10 +38,6 @@ class RelationViolated(ArithmeticError):
     """A defining-relation sample came out unequal."""
 
 
-class SampleAtPole(ValueError):
-    """A requested sample point sits on a pole of the action."""
-
-
 class NoCandidateFactorization(ArithmeticError):
     """A characteristic polynomial resisted the product-form eigenvalue list."""
 
@@ -352,44 +348,6 @@ def _integer_samples(count: int, forbidden: set[Fraction], start: int,
     return out
 
 
-def _numeric_factor(n: int, d: int, z: Fraction, u0: int
-                    ) -> tuple[list[list[list[list[int]]]], int]:
-    """Integer matrices scale * den(u0) * T_ij(u0) for one factor."""
-    grid, den = _factor_table(n, d, z)
-    scale = z.denominator
-
-    def as_int(fr: Fraction) -> int:
-        if fr.denominator != 1:
-            raise SampleAtPole(f"non-integral cleared sample value {fr}")
-        return fr.numerator
-
-    out = [[[[as_int(p(u0) * scale) for p in row] for row in grid[i][j]]
-            for j in range(n)] for i in range(n)]
-    return out, scale
-
-
-def _numeric_action(spec: ModuleSpec, u0: int) -> tuple[np.ndarray, int]:
-    """(n, n, dim, dim) integer array S = scale * den(u0) * T(u0), plus bound.
-
-    Uses int64 when a conservative magnitude bound permits, exact Python
-    integers otherwise.  Returns (array, proven entry bound).
-    """
-    n = spec.n
-    mats, bound = None, 1
-    for d, z in zip(spec.nu, spec.mu):
-        fac, _ = _numeric_factor(n, d, z, u0)
-        fb = max((abs(v) for blk in fac for row2 in blk for row in row2
-                  for v in row), default=0)
-        arr = np.array(fac, dtype=object)
-        if mats is None:
-            mats, bound = arr, fb
-        else:
-            mats = np.einsum("ikab,kjcd->ijacbd", mats, arr).reshape(
-                n, n, mats.shape[2] * arr.shape[2], mats.shape[3] * arr.shape[3])
-            bound = n * bound * fb
-    return mats, bound
-
-
 @dataclass(frozen=True)
 class RttReport:
     spec: ModuleSpec
@@ -404,7 +362,12 @@ def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
     Both sides, cleared of all denominators, are bivariate polynomials of
     degree at most 4m + 2 in each variable, so agreement on an integer grid
     with more than 4m + 2 distinct values per axis (off the poles) is an
-    exact proof.  Raises RelationViolated on the first failing sample.
+    exact proof.  The samples are those of action_table itself: its
+    numerator grid, cleared once to integers by the common denominator L of
+    its coefficients and evaluated at an integer w, is L * den(w) * T(w),
+    so no value is divided.  Both sides are linear in T(u) and in T(v), so
+    that nonzero scale at each point leaves the relation unchanged.  Raises
+    RelationViolated on the first failing sample.
     """
     need = 4 * spec.m + 3
     if samples is None:
@@ -417,9 +380,22 @@ def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
     vs = _integer_samples(per_axis, poles, -1, -1)
 
     n, dim = spec.n, spec.dim
-    v_actions = [(v0, *_numeric_action(spec, v0)) for v0 in vs]
+    grid, _ = action_table(spec)
+    _, rows = _cleared([p.coeffs for row in grid for mat in row
+                        for entries in mat for p in entries])
+    width = max(map(len, rows))
+    coeffs = np.array([r + [0] * (width - len(r)) for r in rows],
+                      dtype=object).reshape(n, n, dim, dim, width)
+
+    def sample(w: int) -> tuple[np.ndarray, int]:
+        """L * den(w) * T(w) in integers, and its largest absolute entry."""
+        mats = coeffs.dot(np.array([w ** k for k in range(width)],
+                                   dtype=object))
+        return mats, np.abs(mats).max()
+
+    v_actions = [(v0, *sample(v0)) for v0 in vs]
     for u0 in us:
-        X, bx = _numeric_action(spec, u0)
+        X, bx = sample(u0)
         for v0, Y, by in v_actions:
             worst = 2 * abs(u0 - v0) * dim * bx * by
             dtype = np.int64 if worst < 2 ** 62 else object

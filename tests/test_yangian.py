@@ -202,16 +202,13 @@ def test_rtt_rejects_undersampling():
 
 
 def test_rtt_detects_corruption(monkeypatch):
+    """rtt_check samples the shared action_table, so corrupting it is seen."""
     spec = ModuleSpec.make(2, (0, 1), (1, 1))
-    orig = ya._numeric_action
-
-    def corrupted(s, u0):
-        mats, bound = orig(s, u0)
-        mats = mats.copy()
-        mats[0, 1, 0, 0] = mats[0, 1, 0, 0] + 1
-        return mats, bound + 1
-
-    monkeypatch.setattr(ya, "_numeric_action", corrupted)
+    grid, den = ya.action_table(spec)
+    mat = [list(row) for row in grid[0][1]]
+    mat[0][0] = mat[0][0] + ONE
+    corrupted = ((grid[0][0], tuple(map(tuple, mat))),) + grid[1:]
+    monkeypatch.setattr(ya, "action_table", lambda s: (corrupted, den))
     with pytest.raises(RelationViolated):
         rtt_check(spec)
 
