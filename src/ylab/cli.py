@@ -40,6 +40,7 @@ EXIT_INVALID = 2
 EXIT_DOMINANCE = 3
 EXIT_WEIGHT = 4
 
+LIST_FLAGS = ("--mu", "--nu", "--word")
 SUITES = ("rtt", "intertwine", "words", "eigen", "lemma41", "iso",
           "composite", "drinfeld")
 
@@ -324,6 +325,16 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_list_values(argv: Sequence[str]) -> list[str]:
+    """Join each list flag to the value after it (--mu -1,0 becomes
+    --mu=-1,0), so argparse never reads a list value as an option."""
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in LIST_FLAGS else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def _job_of_args(args) -> tuple[JobConfig, object]:
     """Parse all input up front; returns the cache config and the payload."""
     if args.command in ("build", "intertwine", "drinfeld", "verify"):
@@ -342,13 +353,17 @@ def _job_of_args(args) -> tuple[JobConfig, object]:
         return JobConfig("realize", jsonio.drinfeld_obj(data)), data
     if args.command == "reduce":
         pairs = jsonio.parse_pairset(_read_stdin_json())
+        if args.n < 1 or any(abs(d) > args.n for d, _ in pairs.pairs):
+            raise MalformedInput(
+                f"pair labels must lie in -n..n with n >= 1 (--n {args.n})")
         return (JobConfig("reduce", jsonio.pairset_obj(pairs), n=args.n),
                 pairs)
     raise MalformedInput(f"unknown command {args.command!r}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(
+        _bind_list_values(sys.argv[1:] if argv is None else argv))
     try:
         config, payload = _job_of_args(args)
     except MalformedInput as exc:

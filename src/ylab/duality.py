@@ -19,7 +19,7 @@ from .exact import q
 from .glmops import LinearMap, operator_matrix
 from .grassmann import DimensionMismatch, Grassmann, GrassmannElt, perm_longest
 from .intertwiner import Intertwiner, _module_matrix, build_I, check_dominant
-from .yangian import ModuleSpec, highest_vector, wedge_basis
+from .yangian import ModuleSpec, highest_vector
 
 
 class CompositeMismatch(ArithmeticError):
@@ -59,26 +59,28 @@ def sign_counters(spec: ModuleSpec) -> SignCounters:
 
 # ------------------------------------------------------- single-row complement
 
+def _complement(eps: Sequence[int], x: GrassmannElt) -> GrassmannElt:
+    """Complement the rows of x with sign -1; see R_eps_apply."""
+    G = x.algebra
+    n = G.n
+    steps = [(1 << s, eps[s // n] > 0) for s in range(G.m * n)]
+    base = sum(((1 << n) - 1) << (a * n) for a in range(G.m) if eps[a] < 0)
+    return G.substitute(steps, base, x)
+
+
 def R_map(n: int, x: GrassmannElt) -> GrassmannElt:
     """Complement a single-row element against the full product x_1...x_n.
 
     A monomial with column set A goes to plus or minus the monomial on the
     complementary columns; the sign comes from applying the derivations of
-    the columns in A to x_1...x_n, largest column innermost.  Applying the
-    map twice scales by (-1)^{n(n-1)/2}.
+    the columns in A to x_1...x_n, largest column innermost (the one-row
+    `_complement`).  Applying the map twice scales by (-1)^{n(n-1)/2}.
     """
     G = x.algebra
     if G.shape != (1, n):
         raise DimensionMismatch(
             f"expected a single row of width {n}, got shape {G.shape}")
-    top = G.monomial((1, i) for i in range(1, n + 1))
-    out = G.zero()
-    for mono, coeff in x.terms.items():
-        img = top
-        for a, i in reversed(G.slots_of(mono)):
-            img = G.derive(a, i, img)
-        out = out + img.scale(coeff)
-    return out
+    return _complement((-1,), x)
 
 
 def iso_covector(n: int, d: int, z) -> Intertwiner:
@@ -86,21 +88,14 @@ def iso_covector(n: int, d: int, z) -> Intertwiner:
 
     Sends the negative factor of degree -d at shift z onto the tensor
     product of the degree n - d factor and the scalar determinantal factor
-    at the same shift, by complementing each basis monomial.
+    at the same shift, by complementing each basis monomial: the matrix of
+    `dual_iso` on the one-row module.
     """
     if not 0 <= d <= n:
         raise ValueError(f"need 0 <= d <= n, got d = {d}")
     source = ModuleSpec.make(n, (z,), (-d,))
     target = ModuleSpec.make(n, (z, z), (n - d, -n))
-    G = Grassmann(1, n)
-    rows = {lab: r for r, lab in enumerate(wedge_basis(n, n - d))}
-    dim = source.dim
-    mat = [[Fraction(0)] * dim for _ in range(dim)]
-    for c, lab in enumerate(wedge_basis(n, d)):
-        img = R_map(n, G.monomial((1, j) for j in lab))
-        for mono, coeff in img.terms.items():
-            mat[rows[G.alpha_decode(mono)[0]]][c] = coeff
-    return Intertwiner(source, target, tuple(tuple(r) for r in mat))
+    return Intertwiner(source, target, dual_iso(source).matrix)
 
 
 # ------------------------------------------------------ signed multi-row form
@@ -110,27 +105,15 @@ def R_eps_apply(spec: ModuleSpec, x: GrassmannElt) -> GrassmannElt:
 
     Reading the variables of a monomial in slot order, each one in a
     nonnegative row multiplies and each one in a negative row derives; the
-    operator chain so obtained acts on the product of the full negative
-    rows, taken by increasing row.  Nonnegative rows pass through
-    untouched, negative rows are complemented.
+    operator chain so obtained (`_complement`) acts on the product of the
+    full negative rows, taken by increasing row.  Nonnegative rows pass
+    through untouched, negative rows are complemented.
     """
     G = x.algebra
     if G.shape != (spec.m, spec.n):
         raise DimensionMismatch(
             f"element lives in shape {G.shape}, spec has {(spec.m, spec.n)}")
-    eps = spec.eps
-    base = G.monomial((a, i) for a in range(1, spec.m + 1) if eps[a - 1] < 0
-                      for i in range(1, spec.n + 1))
-    out = G.zero()
-    for mono, coeff in x.terms.items():
-        img = base
-        for a, i in reversed(G.slots_of(mono)):
-            if eps[a - 1] > 0:
-                img = G.var(a, i) * img
-            else:
-                img = G.derive(a, i, img)
-        out = out + img.scale(coeff)
-    return out
+    return _complement(spec.eps, x)
 
 
 def R_eps(spec: ModuleSpec) -> LinearMap:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .exact import pochhammer
@@ -27,12 +28,8 @@ class ForbiddenWeightDifference(ValueError):
 
 
 def E_op(a: int, b: int, x: GrassmannElt) -> GrassmannElt:
-    """Apply E_ab = sum_k x_{ak} d_{bk} to x."""
-    G = x.algebra
-    out = G.zero()
-    for k in range(1, G.n + 1):
-        out = out + G.var(a, k) * G.derive(b, k, x)
-    return out
+    """Apply E_ab = sum_k x_{ak} d_{bk} to x: EE_op with every sign +1."""
+    return EE_op((1,) * x.algebra.m, a, b, x)
 
 
 def EE_op(eps: Sequence[int], a: int, b: int, x: GrassmannElt) -> GrassmannElt:
@@ -41,17 +38,14 @@ def EE_op(eps: Sequence[int], a: int, b: int, x: GrassmannElt) -> GrassmannElt:
     The summand for column i is q_{ai} p_{bi} where q is multiplication by
     x_{ai} when eps_a = +1 and the derivation d_{ai} when eps_a = -1, while
     p is d_{bi} when eps_b = +1 and multiplication by x_{bi} when eps_b = -1.
-    With all signs +1 this is exactly E_op.
+    Each summand is one two-step chain of the Grassmann kernel.
     """
     G = x.algebra
     if len(eps) != G.m or any(e not in (1, -1) for e in eps):
         raise ValueError(f"sign vector {eps} is not a length-{G.m} choice of +-1")
-    out = G.zero()
-    for i in range(1, G.n + 1):
-        y = G.derive(b, i, x) if eps[b - 1] == 1 else G.var(b, i) * x
-        y = G.var(a, i) * y if eps[a - 1] == 1 else G.derive(a, i, y)
-        out = out + y
-    return out
+    p_mul, q_mul = eps[b - 1] == -1, eps[a - 1] == 1
+    return G.act(tuple(((1 << G.slot(b, i), p_mul), (1 << G.slot(a, i), q_mul))
+                       for i in range(1, G.n + 1)), x)
 
 
 def mat_mul(a, b) -> tuple[tuple, ...]:
@@ -134,7 +128,8 @@ def XY_op(G: Grassmann, kind: str, w: Sequence, a: int, b: int,
 
     kind X uses (A, B) = (E_ab, E_ba): each term lowers then restores row
     degrees, so the map preserves the weight-nu subspace; kind Y swaps the
-    roles.  With eps given, E is replaced by the signed EE throughout.
+    roles.  The row operator is chosen once: E_op, or EE_op with the signs
+    eps when they are given.
     Requires w_a - w_b not to be a negative integer (series denominators
     (w_a - w_b + 1)_r must not vanish).
     """
@@ -147,23 +142,19 @@ def XY_op(G: Grassmann, kind: str, w: Sequence, a: int, b: int,
         raise ForbiddenWeightDifference(
             f"w_{a} - w_{b} = {c} is a negative integer")
 
-    if eps is None:
-        def lower(x): return E_op(a, b, x) if kind == "X" else E_op(b, a, x)
-        def raise_(x): return E_op(b, a, x) if kind == "X" else E_op(a, b, x)
-    else:
-        def lower(x): return EE_op(eps, a, b, x) if kind == "X" else EE_op(eps, b, a, x)
-        def raise_(x): return EE_op(eps, b, a, x) if kind == "X" else EE_op(eps, a, b, x)
+    row = E_op if eps is None else partial(EE_op, eps)
+    i, j = (a, b) if kind == "X" else (b, a)  # A = E_ij, B = E_ji
 
     def series(x: GrassmannElt) -> GrassmannElt:
         out = x
         arx = x
         for r in range(1, G.n + 1):
-            arx = lower(arx)          # A^r x, built incrementally
+            arx = row(i, j, arx)  # A^r x, built incrementally
             if arx.is_zero():
                 break
             term = arx
             for _ in range(r):
-                term = raise_(term)   # B^r A^r x
+                term = row(j, i, term)  # B^r A^r x
             if term.is_zero():
                 continue
             coeff = Fraction((-1) ** r, 1) / (

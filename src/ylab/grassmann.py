@@ -229,48 +229,57 @@ class Grassmann:
                     del out[mono]
         return GrassmannElt(self, out)
 
-    def derive(self, a: int, i: int, x: GrassmannElt) -> GrassmannElt:
-        """Left derivation with respect to x_{ai}."""
-        self._check_same(x)
-        bit = 1 << self.slot(a, i)
+    def _run_chains(self, runs: Iterable[tuple]) -> GrassmannElt:
+        """The sum of c * chain(mono) over the runs (mono, c, chain).
+
+        A chain applies its steps first to last.  The step (bit, multiply)
+        left-multiplies or left-derives by the variable at bit, which passes
+        the set bits below it, so the step negates when they are odd in
+        number.  A multiply by a present variable or a derive by an absent
+        one kills the run.
+        """
         out: dict[int, Fraction] = {}
-        for mono, c in x.terms.items():
-            if not (mono & bit):
-                continue
-            if (mono & (bit - 1)).bit_count() & 1:
-                c = -c
-            rest = mono & ~bit
-            acc = out.get(rest, Fraction(0)) + c
-            if acc:
-                out[rest] = acc
-            elif rest in out:
-                del out[rest]
+        for mono, c, chain in runs:
+            for bit, multiply in chain:
+                if bool(mono & bit) == multiply:
+                    break
+                if (mono & (bit - 1)).bit_count() & 1:
+                    c = -c
+                mono ^= bit
+            else:
+                out[mono] = out.get(mono, 0) + c
         return GrassmannElt(self, out)
 
+    def act(self, chains: Sequence[Sequence[tuple[int, bool]]],
+            x: GrassmannElt) -> GrassmannElt:
+        """The sum over the chains of each chain applied to x."""
+        self._check_same(x)
+        return self._run_chains((mono, c, chain) for mono, c in x.terms.items()
+                                for chain in chains)
+
+    def substitute(self, steps: Sequence[tuple[int, bool]], base: int,
+                   x: GrassmannElt) -> GrassmannElt:
+        """Send each monomial x_{t1}...x_{tk} of x to s_{t1}(...s_{tk}(base)),
+        where s_t = steps[t] and base is a monomial bitset."""
+        self._check_same(x)
+        return self._run_chains(
+            (base, c, [steps[t] for t in reversed(range(mono.bit_length()))
+                       if mono >> t & 1]) for mono, c in x.terms.items())
+
+    def derive(self, a: int, i: int, x: GrassmannElt) -> GrassmannElt:
+        """Left derivation with respect to x_{ai}: the one-step chain."""
+        return self.act((((1 << self.slot(a, i), False),),), x)
+
     def sym_act(self, sigma: Sequence[int], x: GrassmannElt) -> GrassmannElt:
-        """Algebra automorphism x_{ai} |-> x_{sigma(a) i}."""
+        """Algebra automorphism x_{ai} |-> x_{sigma(a) i}: each monomial is
+        rebuilt from 1 by left-multiplying the relabeled variables."""
         self._check_same(x)
         if len(sigma) != self.m or sorted(sigma) != list(range(1, self.m + 1)):
             raise ValueError(f"{sigma} is not a permutation of 1..{self.m}")
-        out: dict[int, Fraction] = {}
-        for mono, c in x.terms.items():
-            new_slots = [((sigma[a - 1] - 1) * self.n + (i - 1))
-                         for a, i in self.slots_of(mono)]
-            # parity of the re-sorting permutation = inversions in the list
-            inv = 0
-            for t in range(1, len(new_slots)):
-                st = new_slots[t]
-                inv += sum(1 for r in range(t) if new_slots[r] > st)
-            mask = 0
-            for s in new_slots:
-                mask |= 1 << s
-            cc = -c if inv & 1 else c
-            acc = out.get(mask, Fraction(0)) + cc
-            if acc:
-                out[mask] = acc
-            elif mask in out:
-                del out[mask]
-        return GrassmannElt(self, out)
+        n = self.n
+        steps = [(1 << ((sigma[s // n] - 1) * n + s % n), True)
+                 for s in range(self.m * n)]
+        return self.substitute(steps, 0, x)
 
     # -- weight bases and the tensor-basis correspondence -----------------------
 

@@ -51,6 +51,19 @@ def test_build_negative_degree_sign(capsys, monkeypatch):
     assert doc["eps"] == [-1]
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["build", "--n", "2", "--mu", "-1,0", "--nu", "1,1"], "--mu"),
+    (["verify", "--suite", "composite", "--n", "2", "--mu", "0,0",
+      "--nu", "-1,1"], "--nu"),
+    (["intertwine", "--n", "2", "--mu", "0,-2", "--nu", "1,1",
+      "--word", "-1,1"], "--word"),
+])
+def test_list_value_with_leading_minus(capsys, monkeypatch, argv, flag):
+    at = argv.index(flag)
+    joined = argv[:at] + [f"{flag}={argv[at + 1]}"] + argv[at + 2:]
+    assert run(capsys, monkeypatch, argv) == run(capsys, monkeypatch, joined)
+
+
 def test_build_reads_spec_from_stdin(capsys, monkeypatch):
     payload = '{"n":2,"m":2,"mu":["0","0"],"nu":[2,1]}'
     code, out, _ = run(capsys, monkeypatch, ["build"], stdin=payload)
@@ -159,6 +172,20 @@ def test_reduce_fuses_pairs(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["source_size"] == 4
     assert doc["size"] == len(doc["reduced"]) == 2
+
+
+@pytest.mark.parametrize("n,pairs", [
+    ("2", '[[7,"0"]]'), ("2", '[[-3,"0"],[1,"0"]]'),
+    ("0", '[[0,"0"]]'), ("-2", '[[1,"0"]]'),
+])
+def test_reduce_rejects_labels_no_module_has(capsys, monkeypatch, tmp_path,
+                                             n, pairs):
+    code, out, err = run(capsys, monkeypatch,
+                         ["reduce", "--n", n, "--cache-dir", str(tmp_path)],
+                         stdin=pairs)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------------- verify

@@ -1,5 +1,6 @@
 """Complementation maps: single row, signed multi-row, operator conjugation."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -141,6 +142,32 @@ def test_signed_flip_reduces_to_row_complement(n, d):
     G = Grassmann(1, n)
     for v in all_monomials(G):
         assert R_eps_apply(spec, v).terms == R_map(n, v).terms
+
+
+def element_chain(spec, v):
+    # the definition as a chain of whole elements: multiply by x_ai on a
+    # nonnegative row, derive by it on a negative one, largest slot first,
+    # starting from the product of the full negative rows
+    G, eps = v.algebra, spec.eps
+    out = G.zero()
+    for mono, coeff in v.terms.items():
+        img = G.monomial((a, i) for a in range(1, spec.m + 1) if eps[a - 1] < 0
+                         for i in range(1, spec.n + 1))
+        for a, i in reversed(G.slots_of(mono)):
+            img = G.var(a, i) * img if eps[a - 1] > 0 else G.derive(a, i, img)
+        out = out + img.scale(coeff)
+    return out
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_signed_flip_matches_element_chain(m, n):
+    G = Grassmann(m, n)
+    mixed = (G.var(1, 1).scale(F(3, 2))
+             - G.monomial((a, 1) for a in range(1, m + 1)))
+    for nu in itertools.product((-1, 1), repeat=m):
+        spec = spec_of(n, (0,) * m, nu)
+        for v in all_monomials(G) + [mixed]:
+            assert R_eps_apply(spec, v) == element_chain(spec, v), (nu, v)
 
 
 CONJUGATION_SPECS = [

@@ -74,6 +74,29 @@ def test_EE_all_plus_is_E():
             assert EE_op((1, 1), a, b, x) == E_op(a, b, x)
 
 
+def test_E_and_EE_match_textbook_definitions():
+    # E_ab = sum_k x_ak d_bk and EE_ab = sum_i q_ai p_bi, with every
+    # multiplication through the general product, on every monomial, every
+    # (a, b) and every sign vector
+    for m, n in itertools.product((1, 2, 3), repeat=2):
+        G = Grassmann(m, n)
+        rows, cols = range(1, m + 1), range(1, n + 1)
+        for mask in range(1 << (m * n)):
+            x = GrassmannElt(G, {mask: F(1)})
+            p = {(b, i, e): G.derive(b, i, x) if e == 1 else G.var(b, i) * x
+                 for b in rows for i in cols for e in (1, -1)}
+            qp = {(a, e, b, i, f): G.var(a, i) * y if e == 1
+                  else G.derive(a, i, y)
+                  for (b, i, f), y in p.items() for a in rows for e in (1, -1)}
+            for a, b in itertools.product(rows, repeat=2):
+                want = {(e, f): sum((qp[a, e, b, i, f] for i in cols),
+                                    G.zero())
+                        for e in (1, -1) for f in (1, -1)}
+                assert E_op(a, b, x) == want[1, 1], (a, b, x)
+                for eps in itertools.product((1, -1), repeat=m):
+                    assert EE_op(eps, a, b, x) == want[eps[a - 1], eps[b - 1]]
+
+
 def test_EE_double_derivation_example():
     G = Grassmann(2, 1)
     assert EE_op((-1, 1), 1, 2, elt(G, (1, 1), (2, 1))) == G.unit().scale(-1)

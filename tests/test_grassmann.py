@@ -122,6 +122,19 @@ def test_sym_act_multiplicative_and_functorial():
                 assert G.sym_act(st_, x) == G.sym_act(s, G.sym_act(t, x))
 
 
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_sym_act_is_the_relabeled_product(m, n):
+    # sigma(x_{t1}...x_{tk}) = x_{sigma(t1)} ... x_{sigma(tk)}, each factor
+    # multiplied through the general product
+    G = Grassmann(m, n)
+    for s in permutations(range(1, m + 1)):
+        for mask in range(1 << (m * n)):
+            want = G.unit()
+            for a, i in G.slots_of(mask):
+                want = want * G.var(s[a - 1], i)
+            assert G.sym_act(s, GrassmannElt(G, {mask: F(1)})) == want
+
+
 def test_perm_helpers():
     assert perm_identity(3) == (1, 2, 3)
     assert perm_longest(4) == (4, 3, 2, 1)
