@@ -41,6 +41,16 @@ EXIT_DOMINANCE = 3
 EXIT_WEIGHT = 4
 
 LIST_FLAGS = ("--mu", "--nu", "--word")
+# Every long option of every subcommand, to resolve abbreviations as
+# argparse does: a prefix of exactly one of them stands for that option.
+LONG_FLAGS = LIST_FLAGS + ("--cache-dir", "--out", "--n", "--m", "--suite",
+                           "--samples", "--help")
+# The tokens argparse reads as a list flag: the flag itself, or a prefix of
+# it that no other long option shares (--wor for --word).
+LIST_TOKENS = frozenset(
+    flag[:end] for flag in LIST_FLAGS for end in range(3, len(flag) + 1)
+    if flag[:end] == flag
+    or [f for f in LONG_FLAGS if f.startswith(flag[:end])] == [flag])
 SUITES = ("rtt", "intertwine", "words", "eigen", "lemma41", "iso",
           "composite", "drinfeld")
 
@@ -326,11 +336,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _bind_list_values(argv: Sequence[str]) -> list[str]:
-    """Join each list flag to the value after it (--mu -1,0 becomes
-    --mu=-1,0), so argparse never reads a list value as an option."""
+    """Join each list flag, or an abbreviation of it, to the value after it
+    (--mu -1,0 becomes --mu=-1,0), so argparse never reads a list value as
+    an option."""
     out, tokens = [], iter(argv)
     for token in tokens:
-        value = next(tokens, None) if token in LIST_FLAGS else None
+        value = next(tokens, None) if token in LIST_TOKENS else None
         out.append(token if value is None else f"{token}={value}")
     return out
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import ONE, Poly, RatFun, _cleared, linear, q
+from .exact import ONE, ZERO, Poly, RatFun, _cleared, linear, q
 from .grassmann import perm_apply
 
 
@@ -189,17 +189,25 @@ def factor_action(n: int, d: int, z, i: int, j: int
 
 # -------------------------------------------------------- full module tables
 
-def _kron_poly(a, b):
-    """Kronecker product of two Poly matrices (nested tuples)."""
-    ra, rb = len(a), len(b)
-    ca, cb = len(a[0]), len(b[0])
-    return tuple(tuple(a[r1][c1] * b[r2][c2]
-                       for c1 in range(ca) for c2 in range(cb))
-                 for r1 in range(ra) for r2 in range(rb))
+def _block_entry(left, right, i: int, j: int):
+    """Entry (i, j) of the block product of two grids of Poly matrices.
 
-
-def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
+    It is sum_k left[i][k] (x) right[k][j], with (x) the Kronecker product.
+    Zero is canonical (no coefficients), so only products of two nonzero
+    entries are formed and every other entry stays ZERO.
+    """
+    rb, cb = len(right[0][0]), len(right[0][0][0])
+    out = [[ZERO] * (len(left[0][0][0]) * cb)
+           for _ in range(len(left[0][0]) * rb)]
+    for k in range(len(right)):
+        b = [(r2, c2, y) for r2, row in enumerate(right[k][j])
+             for c2, y in enumerate(row) if y]
+        for r1, row in enumerate(left[i][k]):
+            for c1, x in enumerate(row):
+                if x:
+                    for r2, c2, y in b:
+                        out[r1 * rb + r2][c1 * cb + c2] += x * y
+    return tuple(map(tuple, out))
 
 
 @lru_cache(maxsize=32)
@@ -215,17 +223,8 @@ def action_table(spec: ModuleSpec) -> tuple[tuple, Poly]:
     grid, den = _factor_table(n, spec.nu[0], spec.mu[0])
     for d, z in zip(spec.nu[1:], spec.mu[1:]):
         g2, d2 = _factor_table(n, d, z)
-        new_rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = None
-                for k in range(n):
-                    term = _kron_poly(grid[i][k], g2[k][j])
-                    acc = term if acc is None else _mat_add(acc, term)
-                row.append(acc)
-            new_rows.append(tuple(row))
-        grid = tuple(new_rows)
+        grid = tuple(tuple(_block_entry(grid, g2, i, j) for j in range(n))
+                     for i in range(n))
         den = den * d2
     return grid, den
 
@@ -356,6 +355,61 @@ class RttReport:
     passed: bool
 
 
+def _support_products(support: np.ndarray, n: int, dim: int):
+    """Index arrays for the products of two tables on one support.
+
+    support lists, in C order, the flat positions (a, b, i, j) of the
+    nonzero entries of the (n, n, dim, dim) table.  Returns (left, right,
+    starts, out): product p multiplies entry left[p] of one table by entry
+    right[p] of the other, the two meeting at the inner index j; the
+    products are sorted by the flat position in (n, n, n, n, dim, dim) of
+    the (a, b, c, d, i, k) they add into, out lists those positions once
+    each, and starts marks where each begins.  Index len(support) is a zero
+    slot, and one last product of two zero slots gives every reduction a
+    trailing zero.
+    """
+    gen, row, col = np.unravel_index(support, (n * n, dim, dim))
+    by_row = np.argsort(row, kind="stable")
+    counts = np.bincount(row, minlength=dim)
+    reach = counts[col]
+    left = np.repeat(np.arange(len(support)), reach)
+    offset = np.arange(len(left)) - np.repeat(np.cumsum(reach) - reach, reach)
+    right = by_row[(np.cumsum(counts) - counts)[col[left]] + offset]
+    code = np.ravel_multi_index(
+        (gen[left], gen[right], row[left], col[right]),
+        (n * n, n * n, dim, dim))
+    order = np.argsort(code, kind="stable")
+    out, starts = np.unique(code[order], return_index=True)
+    zero = len(support)
+    return (np.append(left[order], zero), np.append(right[order], zero),
+            np.append(starts, len(order)), out)
+
+
+def _relation_slots(out: np.ndarray, n: int, dim: int):
+    """Positions the relation can see, and where each reads its products.
+
+    A position (a, b, c, d, i, k) is reachable when one of P[abcd],
+    Q[cdab] and P/Q[cbad] is among the product positions out.  Returns
+    the reachable positions in C order with three slot arrays into the
+    reduced products, one per term; a term that no product reaches reads
+    the trailing zero slot len(out).
+    """
+    shape = (n, n, n, n, dim, dim)
+
+    def crossed(flat):
+        a, b, c, d, i, k = np.unravel_index(flat, shape)
+        return (np.ravel_multi_index((c, d, a, b, i, k), shape),
+                np.ravel_multi_index((c, b, a, d, i, k), shape))
+
+    def slot(want):
+        at = np.searchsorted(out, want)
+        return np.where(np.append(out, -1)[at] == want, at, len(out))
+
+    codes = np.union1d(out, np.concatenate(crossed(out)))
+    swap, cross = crossed(codes)
+    return codes, slot(codes), slot(swap), slot(cross)
+
+
 def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
     """Certify (u-v)[T_ij(u), T_kl(v)] = T_kj(u)T_il(v) - T_kj(v)T_il(u).
 
@@ -366,8 +420,17 @@ def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
     numerator grid, cleared once to integers by the common denominator L of
     its coefficients and evaluated at an integer w, is L * den(w) * T(w),
     so no value is divided.  Both sides are linear in T(u) and in T(v), so
-    that nonzero scale at each point leaves the relation unchanged.  Raises
-    RelationViolated on the first failing sample.
+    that nonzero scale at each point leaves the relation unchanged.
+
+    Only the products that can be nonzero are formed.  The support is read
+    from the table: an entry outside it is the zero polynomial, so it is
+    zero at every sample, and every product that leaves it out is zero.
+    Every product of two supported entries is still formed and summed, and
+    every position that one of the four terms reaches is tested; at the
+    others both sides are sums of zero products.  The support is small
+    because T_ab(u) moves the gl_n weight by e_a - e_b, but the check
+    does not rest on that.  Raises RelationViolated on the first failing
+    sample, naming the first failing (i,j,k,l) in lexicographic order.
     """
     need = 4 * spec.m + 3
     if samples is None:
@@ -381,17 +444,22 @@ def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
 
     n, dim = spec.n, spec.dim
     grid, _ = action_table(spec)
-    _, rows = _cleared([p.coeffs for row in grid for mat in row
-                        for entries in mat for p in entries])
-    width = max(map(len, rows))
-    coeffs = np.array([r + [0] * (width - len(r)) for r in rows],
-                      dtype=object).reshape(n, n, dim, dim, width)
+    flat = [p for row in grid for mat in row for entries in mat
+            for p in entries]
+    support = np.flatnonzero([not p.is_zero() for p in flat])
+    _, rows = _cleared([flat[s].coeffs for s in support])
+    width = max(map(len, rows), default=1)
+    coeffs = np.array([r + [0] * (width - len(r)) for r in rows]
+                      + [[0] * width], dtype=object)
+    left, right, starts, out = _support_products(support, n, dim)
+    codes, at_p, at_q, at_cross = _relation_slots(out, n, dim)
 
     def sample(w: int) -> tuple[np.ndarray, int]:
-        """L * den(w) * T(w) in integers, and its largest absolute entry."""
-        mats = coeffs.dot(np.array([w ** k for k in range(width)],
+        """L * den(w) * T(w) on the support, with the zero slot last, and
+        its largest absolute entry."""
+        vals = coeffs.dot(np.array([w ** k for k in range(width)],
                                    dtype=object))
-        return mats, np.abs(mats).max()
+        return vals, np.abs(vals).max()
 
     v_actions = [(v0, *sample(v0)) for v0 in vs]
     for u0 in us:
@@ -400,13 +468,14 @@ def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
             worst = 2 * abs(u0 - v0) * dim * bx * by
             dtype = np.int64 if worst < 2 ** 62 else object
             Xd, Yd = X.astype(dtype), Y.astype(dtype)
-            P = np.einsum("abij,cdjk->abcdik", Xd, Yd)
-            Q = np.einsum("abij,cdjk->abcdik", Yd, Xd)
-            lhs = (u0 - v0) * (P - Q.transpose(2, 3, 0, 1, 4, 5))
-            rhs = (P.transpose(2, 1, 0, 3, 4, 5)
-                   - Q.transpose(2, 1, 0, 3, 4, 5))
-            if not (lhs == rhs).all():
-                bad = next(zip(*np.nonzero(lhs != rhs)))
+            P = np.add.reduceat(Xd[left] * Yd[right], starts)
+            Q = np.add.reduceat(Yd[left] * Xd[right], starts)
+            # u - v >= 2, so |residual| <= worst + worst / 2 < 2**63
+            residual = ((u0 - v0) * (P[at_p] - Q[at_q])
+                        - (P[at_cross] - Q[at_cross]))
+            if residual.any():
+                bad = np.unravel_index(codes[np.flatnonzero(residual)[0]],
+                                       (n, n, n, n, dim, dim))
                 i, j, k, l = (int(b) + 1 for b in bad[:4])
                 raise RelationViolated(
                     f"defining relation fails at (i,j,k,l)=({i},{j},{k},{l}),"

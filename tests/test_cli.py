@@ -1,5 +1,6 @@
 """Runner-level exercises of the command-line front end."""
 
+import argparse
 import io
 import json
 import os
@@ -62,6 +63,24 @@ def test_list_value_with_leading_minus(capsys, monkeypatch, argv, flag):
     at = argv.index(flag)
     joined = argv[:at] + [f"{flag}={argv[at + 1]}"] + argv[at + 2:]
     assert run(capsys, monkeypatch, argv) == run(capsys, monkeypatch, joined)
+
+
+@pytest.mark.parametrize("prefix", ["--w", "--wo", "--wor"])
+@pytest.mark.parametrize("word", ["-1,1", "1"])
+def test_list_flag_prefix_binds_its_value(capsys, monkeypatch, prefix, word):
+    base = ["intertwine", "--n", "2", "--mu", "0,-2", "--nu", "1,1"]
+    assert (run(capsys, monkeypatch, base + [prefix, word])
+            == run(capsys, monkeypatch, base + [f"--word={word}"]))
+
+
+def test_long_flags_are_the_parsers_options():
+    """The abbreviation rule sees every long option argparse knows."""
+    parser = cli._parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {flag for sub in subparsers.choices.values()
+               for flag in sub._option_string_actions if flag[:2] == "--"}
+    assert options == set(cli.LONG_FLAGS)
 
 
 def test_build_reads_spec_from_stdin(capsys, monkeypatch):

@@ -1,13 +1,15 @@
 """Standard modules: factor matrices, coproduct assembly, eigen data, RTT."""
 
 from fractions import Fraction as F
+from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ylab.yangian as ya
-from ylab.exact import ONE, RatFun, linear
+from ylab.exact import ONE, U, ZERO, RatFun, _cleared, linear
 from ylab.grassmann import Grassmann
 from ylab.yangian import (ActionMatrix, ModuleSpec, NoCandidateFactorization,
                           RelationViolated, eigen_closed, eigen_series,
@@ -201,14 +203,119 @@ def test_rtt_rejects_undersampling():
         rtt_check(spec, samples=6)
 
 
-def test_rtt_detects_corruption(monkeypatch):
-    """rtt_check samples the shared action_table, so corrupting it is seen."""
-    spec = ModuleSpec.make(2, (0, 1), (1, 1))
+def dense_rtt_check(spec, samples=None):
+    """rtt_check's reference: every product of the dense tensors, by einsum.
+
+    Same grid, same integer samples and the same int64/object rule as
+    rtt_check, but all n^2 dim^2 entries take part and the relation is
+    compared on the full (n, n, n, n, dim, dim) tensors.
+    """
+    need = 4 * spec.m + 3
+    samples = need * need if samples is None else samples
+    per_axis = max(need, isqrt(samples - 1) + 1)
+    poles = set(spec.mu) | {z - 1 for z in spec.mu}
+    us = ya._integer_samples(per_axis, poles, 1, 1)
+    vs = ya._integer_samples(per_axis, poles, -1, -1)
+    n, dim = spec.n, spec.dim
+    grid, _ = ya.action_table(spec)
+    _, rows = _cleared([p.coeffs for row in grid for mat in row
+                        for entries in mat for p in entries])
+    width = max(map(len, rows))
+    coeffs = np.array([r + [0] * (width - len(r)) for r in rows],
+                      dtype=object).reshape(n, n, dim, dim, width)
+
+    def sample(w):
+        mats = coeffs.dot(np.array([w ** k for k in range(width)],
+                                   dtype=object))
+        return mats, np.abs(mats).max()
+
+    for u0 in us:
+        X, bx = sample(u0)
+        for v0 in vs:
+            Y, by = sample(v0)
+            worst = 2 * abs(u0 - v0) * dim * bx * by
+            dtype = np.int64 if worst < 2 ** 62 else object
+            Xd, Yd = X.astype(dtype), Y.astype(dtype)
+            P = np.einsum("abij,cdjk->abcdik", Xd, Yd)
+            Q = np.einsum("abij,cdjk->abcdik", Yd, Xd)
+            lhs = (u0 - v0) * (P - Q.transpose(2, 3, 0, 1, 4, 5))
+            rhs = (P.transpose(2, 1, 0, 3, 4, 5)
+                   - Q.transpose(2, 1, 0, 3, 4, 5))
+            if not (lhs == rhs).all():
+                bad = next(zip(*np.nonzero(lhs != rhs)))
+                i, j, k, l = (int(b) + 1 for b in bad[:4])
+                raise RelationViolated(
+                    f"defining relation fails at (i,j,k,l)=({i},{j},{k},{l}),"
+                    f" u={u0}, v={v0} on {spec}")
+    return ya.RttReport(spec, len(us) * len(vs), 4 * spec.m + 2, True)
+
+
+def rtt_outcome(check, spec):
+    """The report of check(spec), or the text of the RelationViolated."""
+    try:
+        return check(spec)
+    except RelationViolated as exc:
+        return str(exc)
+
+
+def corrupt(monkeypatch, spec, a, b, r, c, change):
+    """Make action_table serve spec's table with entry (r, c) of T_ab
+    replaced by change(entry)."""
     grid, den = ya.action_table(spec)
-    mat = [list(row) for row in grid[0][1]]
-    mat[0][0] = mat[0][0] + ONE
-    corrupted = ((grid[0][0], tuple(map(tuple, mat))),) + grid[1:]
+    rows = [list(row) for row in grid]
+    mat = [list(row) for row in rows[a][b]]
+    mat[r][c] = change(mat[r][c])
+    rows[a][b] = tuple(map(tuple, mat))
+    corrupted = tuple(map(tuple, rows))
     monkeypatch.setattr(ya, "action_table", lambda s: (corrupted, den))
+
+
+def cells(spec, a, b, nonzero):
+    """The (r, c) of T_ab's nonzero entries, or of its zero entries."""
+    mat = ya.action_table(spec)[0][a][b]
+    return [(r, c) for r, row in enumerate(mat) for c, p in enumerate(row)
+            if p.is_zero() != nonzero]
+
+
+CORRUPTIONS = [
+    (True, lambda p: p + ONE),      # an entry of the support changes
+    (True, lambda p: ZERO),         # a nonzero entry leaves the support
+    (False, lambda p: U + 2),       # a structurally zero entry joins it
+]
+
+
+def test_rtt_detects_corruption(monkeypatch):
+    """rtt_check samples the shared action_table, so corrupting any entry
+    of T_12 or T_21, on the support or off it, is seen, and named as the
+    dense reference names it."""
+    spec = ModuleSpec.make(2, (0, 1), (1, 1))
+    for nonzero, change in CORRUPTIONS:
+        for a, b in ((0, 1), (1, 0)):
+            for r, c in cells(spec, a, b, nonzero):
+                with monkeypatch.context() as patch:
+                    corrupt(patch, spec, a, b, r, c, change)
+                    with pytest.raises(RelationViolated) as exc:
+                        rtt_check(spec)
+                    assert str(exc.value) == rtt_outcome(dense_rtt_check,
+                                                         spec)
+
+
+def test_rtt_object_dtype_path(monkeypatch):
+    """Shift denominators near 10^9 push the sampled products past int64,
+    so the check runs on Python integers; it still passes and still
+    catches a corrupted table."""
+    spec = ModuleSpec.make(2, (F(1, 10**9 + 7), F(3, 10**9 + 9)), (1, -1))
+    grid, _ = ya.action_table(spec)
+    _, rows = _cleared([p.coeffs for row in grid for mat in row
+                        for entries in mat for p in entries])
+
+    def peak(w):
+        return max(abs(sum(x * w ** k for k, x in enumerate(r))) for r in rows)
+
+    assert peak(1) * peak(-1) >= 2 ** 62     # the first pair is past int64
+    assert rtt_check(spec).passed
+    corrupt(monkeypatch, spec, 1, 0, *cells(spec, 1, 0, True)[0],
+            lambda p: p * U)
     with pytest.raises(RelationViolated):
         rtt_check(spec)
 
@@ -325,6 +432,33 @@ spec_strategy = st.builds(
     st.lists(st.tuples(st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(3)]),
                        st.integers(min_value=-2, max_value=2)),
              min_size=1, max_size=2))
+
+
+small_spec_strategy = st.builds(
+    lambda n, pairs: ModuleSpec.make(
+        n, tuple(p[0] for p in pairs),
+        tuple(min(max(p[1], -n), n) for p in pairs)),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.tuples(st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-2, 3),
+                                        F(3)]),
+                       st.integers(min_value=-3, max_value=3)),
+             min_size=1, max_size=3)).filter(lambda spec: spec.dim <= 9)
+
+
+@given(small_spec_strategy, st.data())
+@settings(max_examples=25, deadline=None)
+def test_rtt_matches_dense_reference(spec, data):
+    """On the table and on one corrupted copy, rtt_check and the dense
+    einsum reference give the same report or the same failure text."""
+    assert rtt_check(spec) == dense_rtt_check(spec)
+    n, dim = spec.n, spec.dim
+    a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    r, c = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
+    new = data.draw(st.sampled_from([ZERO, ONE, U, U + 1]))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        corrupt(monkeypatch, spec, a, b, r, c, lambda p: new)
+        assert rtt_outcome(rtt_check, spec) == rtt_outcome(dense_rtt_check,
+                                                           spec)
 
 
 @given(spec_strategy)
