@@ -121,25 +121,23 @@ def wedge_basis(n: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, n + 1), k))
 
 
-def _wedge_unit(n: int, k: int, i: int, j: int) -> list[list[Fraction]]:
-    """Matrix of the gl_n unit E_ij on the wedge basis of Lambda^k(C^n)."""
+def _wedge_moves(n: int, k: int, i: int, j: int
+                 ) -> list[tuple[int, int, int]]:
+    """The nonzero entries (row, col, +-1) of the gl_n unit E_ij on the
+    wedge basis of Lambda^k(C^n)."""
     basis = wedge_basis(n, k)
+    if i == j:
+        return [(c, c, 1) for c, tup in enumerate(basis) if i in tup]
     pos = {t: r for r, t in enumerate(basis)}
-    size = len(basis)
-    mat = [[Fraction(0)] * size for _ in range(size)]
+    moves = []
     for c, tup in enumerate(basis):
-        if i == j:
-            if i in tup:
-                mat[c][c] += 1
-            continue
         if j not in tup or i in tup:
             continue
         p = tup.index(j)
         rest = tup[:p] + tup[p + 1:]
         p2 = sum(1 for x in rest if x < i)
-        new = tuple(sorted(rest + (i,)))
-        mat[pos[new]][c] += Fraction(-1) ** (p + p2)
-    return mat
+        moves.append((pos[tuple(sorted(rest + (i,)))], c, (-1) ** (p + p2)))
+    return moves
 
 
 @lru_cache(maxsize=None)
@@ -148,31 +146,29 @@ def _factor_table(n: int, d: int, z: Fraction
     """Numerator grid and common denominator for one factor.
 
     Returns (grid, den) where grid[i-1][j-1] is a matrix of Poly and the
-    factor's T_ij(u) equals grid[i-1][j-1] / den entrywise.
+    factor's T_ij(u) equals grid[i-1][j-1] / den entrywise: den on the
+    diagonal of T_ii, plus the moves of E_ij (d > 0) or -E_ji (d < 0), and
+    ZERO elsewhere.  Lambda^0 has no moves, so d = 0 is the identity over
+    den = 1.
     """
-    k = abs(d)
-    size = comb(n, k)
-    if d == 0:
-        ident = tuple(tuple(ONE if r == c else Poly.constant(0)
-                            for c in range(size)) for r in range(size))
-        zero = tuple(tuple(Poly.constant(0) for _ in range(size))
-                     for _ in range(size))
-        grid = tuple(tuple(ident if i == j else zero for j in range(n))
-                     for i in range(n))
-        return grid, ONE
-    den = linear(z) if d > 0 else linear(z - 1)
+    size = comb(n, abs(d))
+    den = ONE if d == 0 else linear(z) if d > 0 else linear(z - 1)
+    # each move has an entry of its own, on the diagonal only when i == j
+    entry = {s: (Poly.constant(s), den + Poly.constant(s)) for s in (1, -1)}
     rows = []
     for i in range(1, n + 1):
         row = []
         for j in range(1, n + 1):
-            unit = (_wedge_unit(n, k, i, j) if d > 0
-                    else _wedge_unit(n, k, j, i))
-            sign = 1 if d > 0 else -1
-            mat = tuple(tuple(
-                Poly.constant(sign * unit[r][c]) + (den if r == c and i == j
-                                                    else Poly.constant(0))
-                for c in range(size)) for r in range(size))
-            row.append(mat)
+            mat = [[ZERO] * size for _ in range(size)]
+            if i == j:
+                for r in range(size):
+                    mat[r][r] = den
+            moves = (_wedge_moves(n, d, i, j) if d > 0
+                     else [(r, c, -s) for r, c, s
+                           in _wedge_moves(n, -d, j, i)])
+            for r, c, s in moves:
+                mat[r][c] = entry[s][r == c]
+            row.append(tuple(map(tuple, mat)))
         rows.append(tuple(row))
     return tuple(rows), den
 
@@ -642,6 +638,27 @@ def eigen_candidates(spec: ModuleSpec) -> dict[RatFun, tuple]:
     return cands
 
 
+def _support_blocks(mat) -> list[list[int]]:
+    """Connected components of mat's off-diagonal support, each sorted.
+
+    Indices r != c are joined when entry (r, c) or (c, r) is nonzero.
+    """
+    dim = len(mat)
+    link = [{c for c in range(dim) if c != r and (mat[r][c] or mat[c][r])}
+            for r in range(dim)]
+    seen, blocks = set(), []
+    for start in range(dim):
+        if start not in seen:
+            block, todo = {start}, [start]
+            while todo:
+                for c in link[todo.pop()] - block:
+                    block.add(c)
+                    todo.append(c)
+            seen |= block
+            blocks.append(sorted(block))
+    return blocks
+
+
 def eigenform_check(spec: ModuleSpec) -> EigenReport:
     """Verify every T_ii(u) has spectrum drawn from the product-form list.
 
@@ -654,6 +671,15 @@ def eigenform_check(spec: ModuleSpec) -> EigenReport:
     D*t - N is then primitive in Z[u][t], so by Gauss's lemma it divides the
     polynomial there (von zur Gathen and Gerhard, Modern Computer Algebra,
     ch. 6): every step is exact integer arithmetic.
+
+    The matrix is split first into the connected components of its
+    off-diagonal support, read from the table itself.  Listing the basis
+    block by block is a permutation similarity that makes the matrix block
+    diagonal, so det(t - A) = prod_B det(t - A_B) exactly, each block's
+    polynomial is taken of its principal submatrix, and by unique
+    factorisation in Q(u)[t] a candidate's multiplicity in the whole is the
+    sum of its multiplicities in the blocks.  The blocks are small because
+    T_ii(u) keeps the gl_n weight, but the split does not rest on that.
     """
     if spec.dim > 64:
         raise ValueError("spectrum check is limited to dimension <= 64")
@@ -663,25 +689,31 @@ def eigenform_check(spec: ModuleSpec) -> EigenReport:
                        key=lambda kv: str(kv[0]))]
     spectra = []
     for i in range(spec.n):
-        char = _char_poly_in_t(grid[i][i], den, spec.dim)
+        mat = grid[i][i]
+        chars = [_char_poly_in_t([[mat[r][c] for c in block] for r in block],
+                                 den, len(block))
+                 for block in _support_blocks(mat)]
         counts = []
         for (N, D), label in cands:
             mult = 0
-            while len(char) > 1:
-                val, dpow = char[-1], [1]
-                for c in reversed(char[:-1]):
-                    dpow = _iu_mul(dpow, D)
-                    val = _iu_add(_iu_mul(val, N), _iu_mul(c, dpow))
-                if val:
-                    break
-                char = _it_div(char, [[-x for x in N], D])
-                mult += 1
+            for b, char in enumerate(chars):
+                while len(char) > 1:
+                    val, dpow = char[-1], [1]
+                    for c in reversed(char[:-1]):
+                        dpow = _iu_mul(dpow, D)
+                        val = _iu_add(_iu_mul(val, N), _iu_mul(c, dpow))
+                    if val:
+                        break
+                    char = _it_div(char, [[-x for x in N], D])
+                    mult += 1
+                chars[b] = char
             if mult:
                 counts.append((label[0], label[1], mult))
-        if len(char) > 1:
+        left = sum(len(char) - 1 for char in chars)
+        if left:
             raise NoCandidateFactorization(
                 f"T_{i + 1}{i + 1} spectrum does not split into product forms"
-                f" (degree {len(char) - 1} left) on {spec}")
+                f" (degree {left} left) on {spec}")
         spectra.append(tuple(counts))
     if any(s != spectra[0] for s in spectra[1:]):
         raise NoCandidateFactorization(

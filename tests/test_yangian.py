@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ylab.yangian as ya
-from ylab.exact import ONE, U, ZERO, RatFun, _cleared, linear
+from ylab.exact import ONE, U, ZERO, Poly, RatFun, _cleared, linear
 from ylab.grassmann import Grassmann
 from ylab.yangian import (ActionMatrix, ModuleSpec, NoCandidateFactorization,
                           RelationViolated, eigen_closed, eigen_series,
@@ -61,6 +61,55 @@ def test_diagonal_factor_entries_sum_pattern():
     mat = factor_action(3, 1, 2, 2, 2)
     assert mat[1][1] == rf(linear(1), linear(2))
     assert mat[0][0] == RF1 and mat[2][2] == RF1
+
+
+def textbook_unit(n, k, i, j):
+    """E_ij on Lambda^k(C^n) as {(row, col): coefficient}: E_ij acts on each
+    wedge factor in turn, e_j -> e_i, and the wedge is put back in order
+    with the sign of the sorting permutation."""
+    basis = wedge_basis(n, k)
+    out = {}
+    for col, tup in enumerate(basis):
+        for s, x in enumerate(tup):
+            new = tup[:s] + (i,) + tup[s + 1:]
+            if x != j or len(set(new)) < k:
+                continue
+            inversions = sum(a > b for p, a in enumerate(new)
+                             for b in new[p + 1:])
+            key = (basis.index(tuple(sorted(new))), col)
+            out[key] = out.get(key, 0) + (-1) ** inversions
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_factor_table_matches_textbook_units(n):
+    """grid[i][j] is delta_ij den + E_ij (d > 0) or - E_ji (d < 0) over
+    den = u - z or u - z + 1, and the identity over 1 when d = 0."""
+    for d in range(-n, n + 1):
+        size = len(wedge_basis(n, abs(d)))
+        for z in (F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(7, 5)):
+            den = ONE if d == 0 else linear(z) if d > 0 else linear(z - 1)
+            grid = []
+            for i in range(1, n + 1):
+                row = []
+                for j in range(1, n + 1):
+                    unit = (textbook_unit(n, d, i, j) if d >= 0 else
+                            {rc: -x for rc, x
+                             in textbook_unit(n, -d, j, i).items()})
+                    row.append(tuple(tuple(
+                        (den if i == j and r == c else ZERO)
+                        + Poly.constant(unit.get((r, c), 0))
+                        for c in range(size)) for r in range(size)))
+                grid.append(tuple(row))
+            assert ya._factor_table(n, d, z) == (tuple(grid), den)
+
+
+def test_module_tables_keep_their_memo_reset():
+    """Callers that time cold work, such as the benchmark, reset both memo
+    tables with cache_clear."""
+    assert callable(ya.action_table.cache_clear)
+    assert callable(ya._factor_table.cache_clear)
+    assert ya._factor_table.cache_info().maxsize is None
 
 
 # ------------------------------------------------------------ module assembly
@@ -371,6 +420,96 @@ def test_spectrum_dimension_cap():
         eigenform_check(ModuleSpec.make(3, (0, 1, 2, 3), (1, 1, 1, 1)))
 
 
+def dense_eigenform_check(spec):
+    """eigenform_check's reference: one characteristic polynomial of the
+    whole dim x dim matrix, deflated by the same candidates in the same
+    order."""
+    grid, den = ya.action_table(spec)
+    cands = [(ya._primitive_pair(g), label) for g, label
+             in sorted(ya.eigen_candidates(spec).items(),
+                       key=lambda kv: str(kv[0]))]
+    spectra = []
+    for i in range(spec.n):
+        char = ya._char_poly_in_t(grid[i][i], den, spec.dim)
+        counts = []
+        for (N, D), label in cands:
+            mult = 0
+            while len(char) > 1:
+                val, dpow = char[-1], [1]
+                for c in reversed(char[:-1]):
+                    dpow = ya._iu_mul(dpow, D)
+                    val = ya._iu_add(ya._iu_mul(val, N), ya._iu_mul(c, dpow))
+                if val:
+                    break
+                char = ya._it_div(char, [[-x for x in N], D])
+                mult += 1
+            if mult:
+                counts.append((label[0], label[1], mult))
+        if len(char) > 1:
+            raise NoCandidateFactorization(
+                f"T_{i + 1}{i + 1} spectrum does not split into product forms"
+                f" (degree {len(char) - 1} left) on {spec}")
+        spectra.append(tuple(counts))
+    if any(s != spectra[0] for s in spectra[1:]):
+        raise NoCandidateFactorization(
+            f"diagonal spectra differ between indices on {spec}")
+    return ya.EigenReport(spec, spec.dim, tuple(spectra), True)
+
+
+def eigen_outcome(check, spec):
+    """The report of check(spec), or the text of the
+    NoCandidateFactorization."""
+    try:
+        return check(spec)
+    except NoCandidateFactorization as exc:
+        return str(exc)
+
+
+def test_spectrum_removed_candidate_counts_every_block(monkeypatch):
+    """Without the double eigenvalue (u+1)/u, the two-row weight block of
+    T_ii keeps degree 2, and both paths say so."""
+    spec = ModuleSpec.make(2, (0, 0), (1, 1))
+    orig = ya.eigen_candidates
+
+    def without_double(spec):
+        return {g: label for g, label in orig(spec).items()
+                if label != ((0,), ())}
+
+    monkeypatch.setattr(ya, "eigen_candidates", without_double)
+    for check in (eigenform_check, dense_eigenform_check):
+        with pytest.raises(NoCandidateFactorization, match="degree 2 left"):
+            check(spec)
+
+
+def test_spectrum_split_follows_a_corrupted_support(monkeypatch):
+    """An off-diagonal entry, or a symmetric pair, put between two weight
+    blocks of T_ii joins them in the table's support; the split follows the
+    table, so the report or failure text matches the whole-matrix path."""
+    spec = ModuleSpec.make(2, (0, 3), (1, 1))
+    outcomes = set()
+    for i in range(spec.n):
+        mat = ya.action_table(spec)[0][i][i]
+        blocks = ya._support_blocks(mat)
+        assert len(blocks) == 3
+        home = {r: b for b, block in enumerate(blocks) for r in block}
+        for r in range(spec.dim):
+            for c in range(spec.dim):
+                if home[r] == home[c]:
+                    continue
+                for pair in (False, True):
+                    with monkeypatch.context() as patch:
+                        corrupt(patch, spec, i, i, r, c, lambda p: U + 2)
+                        if pair:
+                            corrupt(patch, spec, i, i, c, r, lambda p: ONE)
+                        joined = ya.action_table(spec)[0][i][i]
+                        assert len(ya._support_blocks(joined)) == 2
+                        got = eigen_outcome(eigenform_check, spec)
+                        assert got == eigen_outcome(dense_eigenform_check,
+                                                    spec)
+                        outcomes.add(type(got))
+    assert outcomes == {ya.EigenReport, str}
+
+
 def _det(rows):
     """Determinant by Gaussian elimination over Fractions."""
     rows = [list(r) for r in rows]
@@ -459,6 +598,14 @@ def test_rtt_matches_dense_reference(spec, data):
         corrupt(monkeypatch, spec, a, b, r, c, lambda p: new)
         assert rtt_outcome(rtt_check, spec) == rtt_outcome(dense_rtt_check,
                                                            spec)
+
+
+@given(small_spec_strategy)
+@settings(max_examples=25, deadline=None)
+def test_eigenform_matches_dense_reference(spec):
+    """Split by blocks or taken whole, the characteristic polynomial gives
+    the same report."""
+    assert eigenform_check(spec) == dense_eigenform_check(spec)
 
 
 @given(spec_strategy)
