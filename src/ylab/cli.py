@@ -53,6 +53,9 @@ LIST_TOKENS = frozenset(
     or [f for f in LONG_FLAGS if f.startswith(flag[:end])] == [flag])
 SUITES = ("rtt", "intertwine", "words", "eigen", "lemma41", "iso",
           "composite", "drinfeld")
+# Part of every cache key: raise it when a report of the same job may
+# differ from one an older ylab wrote, so those entries read as misses.
+CACHE_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,8 @@ class JobConfig:
     n: Optional[int] = None
 
     def canonical(self) -> str:
-        doc = {"command": self.command, "payload": self.payload}
+        doc = {"command": self.command, "format": CACHE_FORMAT,
+               "payload": self.payload}
         for field in ("suite", "samples", "n"):
             value = getattr(self, field)
             if value is not None:

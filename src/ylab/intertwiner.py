@@ -14,6 +14,7 @@ All of that is verified exactly, never numerically.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +25,8 @@ from .exact import _cleared
 from .glmops import XY_op, mat_mul, operator_matrix
 from .grassmann import (Grassmann, perm_apply, perm_compose, perm_identity,
                         perm_inverse, perm_longest, perm_transposition)
-from .yangian import ModuleSpec, action_table, highest_vector, wedge_basis
+from .yangian import (ModuleSpec, _iu_add, _iu_mul, _iu_sub, action_table,
+                      highest_vector, wedge_basis)
 
 
 class NotReduced(ValueError):
@@ -400,21 +402,65 @@ class IntertwineReport:
     passed: bool
 
 
+def _integer_table(spec: ModuleSpec):
+    """The spec's action_table in integers, on its nonzero support.
+
+    Returns (den, support): one integer d clears every coefficient of the
+    grid and of its denominator together, den holds the coefficients of
+    d times the denominator, and support[i][j] lists (r, c, coefficients of
+    d times the entry) for the nonzero entries of T_ij, in C order; all
+    coefficient lists run lowest degree first.
+    """
+    grid, den = action_table(spec)
+    n = spec.n
+    entries = [(i, j, r, c, p.coeffs)
+               for i in range(n) for j in range(n)
+               for r, row in enumerate(grid[i][j])
+               for c, p in enumerate(row) if p.coeffs]
+    _, (den_ints, *nums) = _cleared([den.coeffs] + [e[4] for e in entries])
+    support = [[[] for _ in range(n)] for _ in range(n)]
+    for (i, j, r, c, _), cs in zip(entries, nums):
+        support[i][j].append((r, c, cs))
+    return den_ints, support
+
+
 def intertwine_check(spec: ModuleSpec, inter: Intertwiner) -> IntertwineReport:
-    """Assert I T_ij(u) = T'_ij(u) I symbolically for all n^2 series."""
-    src_grid, src_den = action_table(spec)
-    tgt_grid, tgt_den = action_table(inter.target_spec)
+    """Assert I T_ij(u) = T'_ij(u) I symbolically for all n^2 series.
+
+    With T_ij = A / den_src and T'_ij = B / den_tgt the identity is
+    (I A) den_tgt = (B I) den_src.  It is checked in integers on the
+    tables' nonzero support: I, the source table and the target table are
+    each cleared by one integer (d_I, d_src, d_tgt; see _integer_table),
+    so both sides carry d_I d_src d_tgt and the scales cancel.  The two
+    denominators need not be equal (those of dual_iso are not).  Each
+    supported entry of A is multiplied by den_tgt and each of B by den_src
+    once, then spread along the nonzero entries of I; every position so
+    reached is tested in C order, and no other can be nonzero.
+    """
+    _, mat = _cleared(inter.matrix)
+    i_rows = [[(c, x) for c, x in enumerate(row) if x] for row in mat]
+    i_cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*mat)]
+    src_den, src = _integer_table(spec)
+    tgt_den, tgt = _integer_table(inter.target_spec)
     n = spec.n
     for i in range(n):
         for j in range(n):
-            lhs = mat_mul(inter.matrix, src_grid[i][j])
-            rhs = mat_mul(tgt_grid[i][j], inter.matrix)
-            for r in range(len(lhs)):
-                for c in range(len(lhs[0])):
-                    if lhs[r][c] * tgt_den != rhs[r][c] * src_den:
-                        raise IntertwiningViolated(
-                            f"I does not intertwine T_{i + 1}{j + 1}"
-                            f" at entry ({r}, {c}) on {spec}")
+            residual: dict = {}  # (r, c) -> (I A) den_tgt - (B I) den_src
+            for k, c, cs in src[i][j]:
+                cs = _iu_mul(cs, tgt_den)
+                for r, x in i_cols[k]:
+                    residual[r, c] = _iu_add(residual.get((r, c), []),
+                                             [x * y for y in cs])
+            for r, k, cs in tgt[i][j]:
+                cs = _iu_mul(cs, src_den)
+                for c, x in i_rows[k]:
+                    residual[r, c] = _iu_sub(residual.get((r, c), []),
+                                             [x * y for y in cs])
+            for r, c in sorted(residual):
+                if residual[r, c]:
+                    raise IntertwiningViolated(
+                        f"I does not intertwine T_{i + 1}{j + 1}"
+                        f" at entry ({r}, {c}) on {spec}")
     return IntertwineReport(spec, n * n, True)
 
 
@@ -458,38 +504,47 @@ def _column_echelon(matrix) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def _series_tails(spec: ModuleSpec, depth: Optional[int] = None):
-    """Yield (i, j, tails) per series T_ij(u), 0-based, nonzero terms only."""
+    """Yield (i, j, tails) per series T_ij(u), 0-based, nonzero terms only.
+
+    The tails are the coefficients of u^-t, t = 1..depth, that are not
+    zero, each as the integer pair (L, L times the coefficient) with L
+    least, which is what _cleared gives for it.  They come from integers
+    on the table's nonzero support (see _integer_table): with the entry
+    d p and the denominator d den = sum_s a_s u^(k-s), a_0 = d (den is
+    monic), and N_t the coefficient of u^(k-t) in d p,
+      S_t = d^t N_t - sum_{s=1..k} a_s d^(s-1) S_(t-s)
+    is an integer and the u^-t coefficient of p / den is S_t / d^(t+1).
+    Each tail is divided once by gcd(d^(t+1), all of its entries).
+    """
     if depth is None:
         depth = 4 * spec.m + 2
-    grid, den = action_table(spec)
+    den, support = _integer_table(spec)
     dim, n = spec.dim, spec.n
-    dhat = list(reversed(den.coeffs))  # den monic => dhat[0] == 1
-    k = len(dhat) - 1
+    k = len(den) - 1
+    d = den[-1]
+    power = [d ** t for t in range(depth + 2)]
+    weights = [(s, den[k - s] * power[s - 1]) for s in range(1, k + 1)]
     for i in range(n):
         for j in range(n):
-            coeffs = [[[Fraction(0)] * dim for _ in range(dim)]
-                      for _ in range(depth)]
-            nonzero = [False] * depth
-            for r in range(dim):
-                for c in range(dim):
-                    p = grid[i][j][r][c]
-                    if p.is_zero():
-                        continue
-                    phat = [Fraction(0)] * (k + 1)
-                    for e, v in enumerate(p.coeffs):
-                        phat[k - e] = v
-                    series = []
-                    for t in range(depth + 1):
-                        v = phat[t] if t <= k else Fraction(0)
-                        v -= sum(series[s] * dhat[t - s]
-                                 for s in range(max(0, t - k), t))
-                        series.append(v)
-                    # series[0] is the u^0 term (delta_ij); tail starts at u^-1
-                    for t in range(1, depth + 1):
-                        if series[t]:
-                            coeffs[t - 1][r][c] = series[t]
-                            nonzero[t - 1] = True
-            yield i, j, [coeffs[t] for t in range(depth) if nonzero[t]]
+            sums = [{} for _ in range(depth + 1)]  # t -> {(r, c): S_t}
+            for r, c, cs in support[i][j]:
+                series = []
+                for t in range(depth + 1):
+                    v = power[t] * cs[k - t] if 0 <= k - t < len(cs) else 0
+                    v -= sum(w * series[t - s] for s, w in weights[:t])
+                    series.append(v)
+                    if v:
+                        sums[t][r, c] = v
+            # S_0 is the u^0 term (d delta_ij); the tail starts at u^-1
+            tails = []
+            for t in range(1, depth + 1):
+                if sums[t]:
+                    g = math.gcd(power[t + 1], *sums[t].values())
+                    rows = [[0] * dim for _ in range(dim)]
+                    for (r, c), v in sums[t].items():
+                        rows[r][c] = v // g
+                    tails.append((power[t + 1] // g, rows))
+            yield i, j, tails
 
 
 def laurent_tail_matrices(spec: ModuleSpec, depth: Optional[int] = None):
@@ -497,9 +552,14 @@ def laurent_tail_matrices(spec: ModuleSpec, depth: Optional[int] = None):
 
     Every entry is a proper rational function, so T_ij(u) = delta_ij plus a
     power series in 1/u; the default depth 4m + 2 spans the coefficient space
-    of any sequence satisfying the entries' denominator recurrences.
+    of any sequence satisfying the entries' denominator recurrences.  This
+    is the Fraction view of _series_tails' integer pairs; the library's
+    certificates read the pairs, and it stays as the public entry point to
+    the tails that the tests and perfbench/tracing.py name.
     """
-    return [mat for _, _, tails in _series_tails(spec, depth) for mat in tails]
+    return [[[Fraction(x, scale) for x in row] for row in rows]
+            for _, _, tails in _series_tails(spec, depth)
+            for scale, rows in tails]
 
 
 _CLOSURE_PRIMES = (1_000_003, 1_000_033, 1_000_037)
@@ -508,11 +568,13 @@ _CLOSURE_PRIMES = (1_000_003, 1_000_033, 1_000_037)
 def _restricted_tails(target: ModuleSpec, basis, pivots):
     """Every tail operator of the target restricted to the image, in integers.
 
-    With the tail O and the basis B (as columns) cleared to integers, the
-    restriction is R = (O B)[pivots], and d_B O B = B R certifies that the
-    image is invariant.  R is the restricted operator times d_O d_B.  Returns
-    the distinct nonzero restrictions, the rows of those of the raising
-    series (i < j) stacked, and the scales d_O d_B.
+    With the tail O = (d_O, d_O times the tail) from _series_tails and the
+    basis B (as columns) cleared to integers, the restriction is
+    R = (O B)[pivots], and d_B O B = B R certifies that the image is
+    invariant.  R is the restricted operator times d_O d_B.  O B is formed
+    from O's nonzero entries only.  Returns the distinct nonzero
+    restrictions, the rows of those of the raising series (i < j) stacked,
+    and the scales d_O d_B.
     """
     d_b, cols = _cleared(basis)
     b_rows = list(zip(*cols))
@@ -521,10 +583,9 @@ def _restricted_tails(target: ModuleSpec, basis, pivots):
     off_pivot = [i for i in range(len(b_rows)) if i not in pivot_set]
     ops, raising, scales = {}, {}, set()
     for i, j, tails in _series_tails(target):
-        for mat in tails:
-            d_o, o = _cleared(mat)
-            ob = [[sum(map(mul, row, col)) for col in cols] for row in o]
-            restricted = tuple(tuple(ob[pv]) for pv in pivots)
+        for d_o, o in tails:
+            ob = mat_mul(o, b_rows)
+            restricted = tuple(ob[pv] for pv in pivots)
             r_cols = list(zip(*restricted))
             for q in off_pivot:
                 if ([sum(map(mul, b_rows[q], col)) for col in r_cols]
@@ -591,7 +652,10 @@ def image_analysis(spec: ModuleSpec, inter: Intertwiner) -> ImageReport:
     The image V (rank r) of an intertwining operator is a submodule of the
     target.  Its invariance under every Laurent-tail coefficient (all n^2
     series, depths 1..4m+2) is certified exactly, in integers, and gives
-    the operators restricted to V.
+    the operators restricted to V.  The coefficients come from an integer
+    recurrence on the target table's nonzero support (see _series_tails),
+    each with its least scale, so the scales, and with them the primes
+    below, are those of the rational coefficients.
 
     Every nonzero finite-dimensional Y(gl_n)-module holds a nonzero singular
     vector, one killed by all t_ij(u) with i < j, and the singular vectors

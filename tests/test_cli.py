@@ -295,6 +295,23 @@ def test_cache_ignores_out_flag_in_key(capsys, monkeypatch, tmp_path):
     assert out == first  # cache hit: byte-identical despite --out change
 
 
+def test_cache_entry_from_another_format_is_a_miss(capsys, monkeypatch,
+                                                   tmp_path):
+    argv = ["build", "--cache-dir", str(tmp_path)] + SPEC21
+    code, fresh, _ = run(capsys, monkeypatch, argv)
+    assert code == 0
+    (old,) = tmp_path.iterdir()
+    monkeypatch.setattr(cli, "CACHE_FORMAT", 2)
+    computed = []
+    monkeypatch.setattr(cli, "cmd_build",
+                        lambda spec, build=cli.cmd_build:
+                        computed.append(spec) or build(spec))
+    assert run(capsys, monkeypatch, argv)[:2] == (0, fresh)
+    assert len(computed) == 1  # recomputed, not served from the old entry
+    (new,) = set(tmp_path.iterdir()) - {old}  # written under a new key
+    assert new.read_text(encoding="utf-8") == fresh
+
+
 def test_cache_truncated_entry_is_a_miss(capsys, monkeypatch, tmp_path):
     argv = ["build", "--cache-dir", str(tmp_path)] + SPEC21
     code, fresh, _ = run(capsys, monkeypatch, argv)

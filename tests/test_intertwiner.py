@@ -1,14 +1,17 @@
 """Reduced words, canonical intertwiners, elementary swaps, image analysis."""
 
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ylab.intertwiner as itw
-from ylab.battery import word_battery
-from ylab.glmops import XY_op, operator_matrix
+from ylab.battery import dominant_battery, word_battery
+from ylab.duality import dual_iso
+from ylab.exact import _cleared
+from ylab.glmops import XY_op, mat_mul, operator_matrix
 from ylab.grassmann import Grassmann, perm_apply, perm_longest
 from ylab.intertwiner import (Intertwiner, IntertwiningViolated, NotDominant,
                               NotReduced, ReducedWord,
@@ -18,7 +21,7 @@ from ylab.intertwiner import (Intertwiner, IntertwiningViolated, NotDominant,
                               elementary_composition_check, image_analysis,
                               intertwine_check, laurent_tail_matrices,
                               root_order, word_independence_check)
-from ylab.yangian import ModuleSpec, highest_vector
+from ylab.yangian import ModuleSpec, action_table, highest_vector
 
 
 def spec_of(n, mu, nu):
@@ -340,6 +343,93 @@ def test_intertwine_check_catches_corruption():
         intertwine_check(spec, bad)
 
 
+def dense_intertwine_check(spec, inter):
+    """intertwine_check's reference: every entry of I A and B I, over Poly."""
+    src_grid, src_den = action_table(spec)
+    tgt_grid, tgt_den = action_table(inter.target_spec)
+    n = spec.n
+    for i in range(n):
+        for j in range(n):
+            lhs = mat_mul(inter.matrix, src_grid[i][j])
+            rhs = mat_mul(tgt_grid[i][j], inter.matrix)
+            for r in range(len(lhs)):
+                for c in range(len(lhs[0])):
+                    if lhs[r][c] * tgt_den != rhs[r][c] * src_den:
+                        raise IntertwiningViolated(
+                            f"I does not intertwine T_{i + 1}{j + 1}"
+                            f" at entry ({r}, {c}) on {spec}")
+    return itw.IntertwineReport(spec, n * n, True)
+
+
+def intertwine_outcome(check, spec, inter):
+    try:
+        return check(spec, inter)
+    except IntertwiningViolated as exc:
+        return str(exc)
+
+
+def bumped(inter, r, c):
+    rows = [list(row) for row in inter.matrix]
+    rows[r][c] += 1
+    return Intertwiner(inter.spec, inter.target_spec, tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("which", ["canonical", "dual_iso"])
+def test_intertwine_matches_dense_reference_on_every_bumped_entry(which):
+    if which == "canonical":
+        spec = spec_of(2, (0, 0), (1, 1))
+        inter = build_I(spec)
+    else:
+        spec = spec_of(2, (1, F(1, 2)), (1, -1))
+        inter = dual_iso(spec)
+        assert action_table(spec)[1] != action_table(inter.target_spec)[1]
+    outcomes = set()
+    for r in range(spec.dim):
+        for c in range(spec.dim):
+            bad = bumped(inter, r, c)
+            got = intertwine_outcome(intertwine_check, spec, bad)
+            assert got == intertwine_outcome(dense_intertwine_check, spec, bad)
+            outcomes.add(type(got))
+    assert str in outcomes
+
+
+# ------------------------------------------------------------- Laurent tails
+
+def fraction_series_tails(spec, depth=None):
+    """_series_tails' reference: the Laurent recurrence in Fractions, on
+    every entry, yielding each tail as a dense Fraction matrix."""
+    if depth is None:
+        depth = 4 * spec.m + 2
+    grid, den = action_table(spec)
+    dim, n = spec.dim, spec.n
+    dhat = list(reversed(den.coeffs))  # den monic => dhat[0] == 1
+    k = len(dhat) - 1
+    for i in range(n):
+        for j in range(n):
+            coeffs = [[[F(0)] * dim for _ in range(dim)]
+                      for _ in range(depth)]
+            nonzero = [False] * depth
+            for r in range(dim):
+                for c in range(dim):
+                    p = grid[i][j][r][c]
+                    if p.is_zero():
+                        continue
+                    phat = [F(0)] * (k + 1)
+                    for e, v in enumerate(p.coeffs):
+                        phat[k - e] = v
+                    series = []
+                    for t in range(depth + 1):
+                        v = phat[t] if t <= k else F(0)
+                        v -= sum(series[s] * dhat[t - s]
+                                 for s in range(max(0, t - k), t))
+                        series.append(v)
+                    for t in range(1, depth + 1):
+                        if series[t]:
+                            coeffs[t - 1][r][c] = series[t]
+                            nonzero[t - 1] = True
+            yield i, j, [coeffs[t] for t in range(depth) if nonzero[t]]
+
+
 # ------------------------------------------------------------- Laurent tails
 
 def test_laurent_tails_at_origin():
@@ -365,6 +455,32 @@ def test_laurent_tails_geometric():
 def test_laurent_tails_trivial_factor():
     spec = spec_of(2, (0,), (0,))
     assert laurent_tail_matrices(spec) == []
+
+
+def reference_scales(target, basis, pivots):
+    """The scales d_O d_B of the nonzero restricted tails, from Fractions."""
+    d_b, cols = _cleared(basis)
+    scales = set()
+    for _, _, tails in fraction_series_tails(target):
+        for mat in tails:
+            d_o, o = _cleared(mat)
+            if any(sum(map(mul, o[pv], col)) for pv in pivots for col in cols):
+                scales.add(d_o * d_b)
+    return scales
+
+
+def test_closure_primes_follow_the_fraction_scales():
+    # the scales decide which of _CLOSURE_PRIMES the closure may run at
+    checked = 0
+    for spec in dominant_battery():
+        if spec.dim > 9:
+            continue
+        inter = build_I(spec)
+        basis, pivots = itw._column_echelon(inter.matrix)
+        scales = itw._restricted_tails(inter.target_spec, basis, pivots)[2]
+        assert scales == reference_scales(inter.target_spec, basis, pivots)
+        checked += 1
+    assert checked > 200
 
 
 # -------------------------------------------------------------- image analysis
@@ -470,6 +586,18 @@ def test_property_intertwine_and_normalize(spec):
     assert intertwine_check(spec, inter).passed
     hv_s, hv_t = highest_vector(spec), highest_vector(inter.target_spec)
     assert inter.matrix[hv_t.index][hv_s.index] == 1
+
+
+@given(dominant_specs().filter(lambda s: s.dim <= 9))
+@settings(max_examples=15, deadline=None)
+def test_integer_certificates_match_fraction_references(spec):
+    inter = build_I(spec)
+    assert intertwine_check(spec, inter) == dense_intertwine_check(spec, inter)
+    for depth in (None, 3):
+        got = [(i, j, tails) for i, j, tails in itw._series_tails(spec, depth)]
+        want = [(i, j, [_cleared(mat) for mat in tails])
+                for i, j, tails in fraction_series_tails(spec, depth)]
+        assert got == want
 
 
 @given(dominant_specs().filter(lambda s: all(d >= 0 for d in s.nu)))
