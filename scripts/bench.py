@@ -2,6 +2,7 @@
 """Measure this checkout end to end and write BENCH_<LABEL>.json at its root.
 
     python3 scripts/bench.py LABEL
+    python3 scripts/bench.py LABEL --against REV
 
 Run from anywhere; the checkout is the one holding this script, and its
 `src/ylab` is what gets measured.  The file records, in this order:
@@ -18,8 +19,20 @@ Run from anywhere; the checkout is the one holding this script, and its
   CPU count, the git SHA of HEAD, whether `src` differs from it, and a
   digest of src/ylab.
 
-A full run takes about ten minutes on a 2-core machine; run nothing else
-beside it.
+With `--against REV` the workloads are measured as an A/B within this one
+run instead, since medians taken at different times drift by more than
+some gains.  REV's `src/` is exported with `git archive`, and this checkout's
+`src/` is copied, each into a temporary directory beside a copy of this
+checkout's unmodified `perfbench/`; `run.py` imports the `src` beside it,
+and PYTHONPATH names the same tree.  Each workload then runs in ten pairs
+of 25 s runs (seeds 1, 2, 3 in turn), parent and child one after the
+other, the order swapped every pair.  The file records every run, each
+side's median and quartiles, the child/parent ratio of each metric per
+pair and, per metric, how many pairs the child won (the direction is
+BENCHMARK.json's `better`).
+
+A full run takes about ten minutes on a 2-core machine, and about 45 with
+`--against`; run nothing else beside it.
 """
 
 import argparse
@@ -28,9 +41,11 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
@@ -41,6 +56,7 @@ SRC = ROOT / "src"
 WORKLOADS = ("rtt-sample", "image-closure", "cli-cold", "cli-replay")
 SEEDS = (1, 2, 3)
 SECONDS = 25
+PAIRS = 10
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
@@ -96,47 +112,127 @@ def criteria() -> list[dict]:
         return pool.submit(_criteria_rows).result()
 
 
-def workload(name: str) -> dict:
-    runs, units = [], {}
-    for seed in SEEDS:
-        done = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", name,
-             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
-            cwd=ROOT, capture_output=True, text=True)
-        lines = done.stdout.strip().splitlines()
-        if done.returncode != 0 or not lines:
-            runs.append({"seed": seed, "exit_code": done.returncode,
-                         "stderr": done.stderr[-2000:]})
-            continue
-        result = json.loads(lines[-1])
-        runs.append({"seed": seed, "exit_code": 0,
-                     "correct": result["correct"],
-                     "attempted": result["attempted"],
-                     "failed": result["failed"],
-                     "metrics": {k: v["value"]
-                                 for k, v in result["metrics"].items()}})
-        units = {k: v["unit"] for k, v in result["metrics"].items()}
+def perfbench_run(root: Path, name: str, seed: int, seconds: float) -> dict:
+    """One `perfbench/run.py --trace 0` run in the checkout at root."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", name,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, env=env, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        return {"seed": seed, "exit_code": done.returncode,
+                "stderr": done.stderr[-2000:]}
+    result = json.loads(lines[-1])
+    return {"seed": seed, "exit_code": 0, "correct": result["correct"],
+            "attempted": result["attempted"], "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def end_to_end() -> dict:
+    """BENCHMARK.json's end-to-end metrics: name -> (unit, better)."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: (m["unit"], m["better"])
+            for m in declared["end_to_end"]}
+
+
+def summary(runs: list[dict]) -> dict:
+    """Correctness, failure counts, and the median and quartiles of each
+    metric over the runs."""
     measured = [run for run in runs if "metrics" in run]
-    median = {k: {"value": statistics.median(run["metrics"][k]
-                                             for run in measured),
-                  "unit": unit} for k, unit in units.items()}
-    return {"seeds": list(SEEDS), "seconds": SECONDS,
-            "correct": len(measured) == len(runs)
+    units = {k: unit for k, (unit, _) in end_to_end().items()}
+    values = {k: [run["metrics"][k] for run in measured]
+              for k in units} if measured else {}
+    return {"correct": len(measured) == len(runs)
             and all(run["correct"] for run in measured),
             "failed": sum(run["failed"] for run in measured),
             "attempted": sum(run["attempted"] for run in measured),
-            "median": median, "runs": runs}
+            "median": {k: {"value": statistics.median(v), "unit": units[k]}
+                       for k, v in values.items()},
+            "quartiles": {k: statistics.quantiles(v, method="inclusive")[::2]
+                          for k, v in values.items() if len(v) > 1}}
+
+
+def workload(name: str) -> dict:
+    runs = [perfbench_run(ROOT, name, seed, SECONDS) for seed in SEEDS]
+    return {"seeds": list(SEEDS), "seconds": SECONDS, **summary(runs),
+            "runs": runs}
+
+
+def _checkout(root: Path, rev) -> Path:
+    """A tree at root holding the src/ of git revision rev (of the working
+    tree when rev is None) and a copy of this checkout's perfbench/."""
+    root.mkdir()
+    if rev is None:
+        shutil.copytree(SRC, root / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    else:
+        tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"],
+                             cwd=ROOT, capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(root)], input=tar, check=True)
+    shutil.copytree(ROOT / "perfbench", root / "perfbench",
+                    ignore=shutil.ignore_patterns("out", "__pycache__"))
+    return root
+
+
+def ab_workloads(rev: str, pairs: int = PAIRS,
+                 seconds: float = SECONDS) -> dict:
+    """Every workload in alternating parent/child pairs, back to back."""
+    better = {k: direction for k, (_, direction) in end_to_end().items()}
+    out = {}
+    with tempfile.TemporaryDirectory(prefix="ylab-ab-") as tmp:
+        roots = {"parent": _checkout(Path(tmp, "parent"), rev),
+                 "child": _checkout(Path(tmp, "child"), None)}
+        for name in WORKLOADS:
+            runs = {"parent": [], "child": []}
+            for k in range(pairs):
+                order = ("parent", "child") if k % 2 == 0 else ("child",
+                                                                "parent")
+                for side in order:
+                    runs[side].append(perfbench_run(roots[side], name,
+                                                    SEEDS[k % len(SEEDS)],
+                                                    seconds))
+            ratios, won = [], dict.fromkeys(better, 0)
+            for a, b in zip(runs["parent"], runs["child"]):
+                if "metrics" not in a or "metrics" not in b:
+                    ratios.append(None)
+                    continue
+                ratio = {k: b["metrics"][k] / a["metrics"][k]
+                         if a["metrics"][k] else None for k in better}
+                ratios.append(ratio)
+                for k, r in ratio.items():
+                    if r is not None and (r > 1 if better[k] == "higher"
+                                          else r < 1):
+                        won[k] += 1
+            out[name] = {"pairs": pairs, "seconds": seconds,
+                         "parent": {**summary(runs["parent"]),
+                                    "runs": runs["parent"]},
+                         "child": {**summary(runs["child"]),
+                                   "runs": runs["child"]},
+                         "ratio_per_pair": ratios, "child_won": won}
+    return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("label", help="names the file BENCH_<LABEL>.json")
-    label = parser.parse_args(argv).label
+    parser.add_argument("--against", metavar="REV",
+                        help="measure the workloads as an A/B against REV")
+    args = parser.parse_args(argv)
+    label = args.label
     if not re.fullmatch(r"[A-Za-z0-9_.-]+", label):
         parser.error("LABEL may hold only letters, digits, '_', '.', '-'")
+    if args.against is None:
+        measured = {"workloads": {name: workload(name)
+                                  for name in WORKLOADS}}
+    else:
+        rev = _git("rev-parse", "--verify", f"{args.against}^{{commit}}")
+        if rev == "unavailable":
+            parser.error(f"no git revision {args.against!r}")
+        measured = {"against": {"rev": args.against, "sha": rev},
+                    "ab_workloads": ab_workloads(rev)}
     out = {"label": label, **environment(), "tier1": tier1(),
-           "criteria": criteria(),
-           "workloads": {name: workload(name) for name in WORKLOADS}}
+           "criteria": criteria(), **measured}
     path = ROOT / f"BENCH_{label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")

@@ -36,10 +36,12 @@ def run_criteria(chosen=()):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("criteria", nargs="*", type=int,
-                        choices=range(1, len(ALL_CRITERIA) + 1),
-                        metavar="N", help="criterion numbers to run")
+    # no `choices`: argparse checks the empty list against them and fails
+    parser.add_argument("criteria", nargs="*", type=int, metavar="N",
+                        help="criterion numbers to run")
     chosen = parser.parse_args(argv).criteria
+    if any(not 1 <= c <= len(ALL_CRITERIA) for c in chosen):
+        parser.error(f"criterion numbers run from 1 to {len(ALL_CRITERIA)}")
     started = time.perf_counter()
     runs = failures = 0
     for _, passed, line, _ in run_criteria(chosen):

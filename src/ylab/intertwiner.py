@@ -402,37 +402,14 @@ class IntertwineReport:
     passed: bool
 
 
-def _integer_table(spec: ModuleSpec):
-    """The spec's action_table in integers, on its nonzero support.
-
-    Returns (den, support): one integer d clears every coefficient of the
-    grid and of its denominator together, den holds the coefficients of
-    d times the denominator, and support[i][j] lists (r, c, coefficients of
-    d times the entry) for the nonzero entries of T_ij, in C order; all
-    coefficient lists run lowest degree first.
-    """
-    grid, den = action_table(spec)
-    n = spec.n
-    entries = [(i, j, r, c, p.coeffs)
-               for i in range(n) for j in range(n)
-               for r, row in enumerate(grid[i][j])
-               for c, p in enumerate(row) if p.coeffs]
-    _, (den_ints, *nums) = _cleared([den.coeffs] + [e[4] for e in entries])
-    support = [[[] for _ in range(n)] for _ in range(n)]
-    for (i, j, r, c, _), cs in zip(entries, nums):
-        support[i][j].append((r, c, cs))
-    return den_ints, support
-
-
 def intertwine_check(spec: ModuleSpec, inter: Intertwiner) -> IntertwineReport:
     """Assert I T_ij(u) = T'_ij(u) I symbolically for all n^2 series.
 
     With T_ij = A / den_src and T'_ij = B / den_tgt the identity is
     (I A) den_tgt = (B I) den_src.  It is checked in integers on the
-    tables' nonzero support: I, the source table and the target table are
-    each cleared by one integer (d_I, d_src, d_tgt; see _integer_table),
-    so both sides carry d_I d_src d_tgt and the scales cancel.  The two
-    denominators need not be equal (those of dual_iso are not).  Each
+    tables' nonzero support: A, B and both denominators are action_table's
+    integers, and I is cleared by one integer d_I, which both sides carry.
+    The two denominators need not be equal (those of dual_iso are not).  Each
     supported entry of A is multiplied by den_tgt and each of B by den_src
     once, then spread along the nonzero entries of I; every position so
     reached is tested in C order, and no other can be nonzero.
@@ -440,8 +417,8 @@ def intertwine_check(spec: ModuleSpec, inter: Intertwiner) -> IntertwineReport:
     _, mat = _cleared(inter.matrix)
     i_rows = [[(c, x) for c, x in enumerate(row) if x] for row in mat]
     i_cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*mat)]
-    src_den, src = _integer_table(spec)
-    tgt_den, tgt = _integer_table(inter.target_spec)
+    src_den, src = action_table(spec)
+    tgt_den, tgt = action_table(inter.target_spec)
     n = spec.n
     for i in range(n):
         for j in range(n):
@@ -508,17 +485,18 @@ def _series_tails(spec: ModuleSpec, depth: Optional[int] = None):
 
     The tails are the coefficients of u^-t, t = 1..depth, that are not
     zero, each as the integer pair (L, L times the coefficient) with L
-    least, which is what _cleared gives for it.  They come from integers
-    on the table's nonzero support (see _integer_table): with the entry
-    d p and the denominator d den = sum_s a_s u^(k-s), a_0 = d (den is
-    monic), and N_t the coefficient of u^(k-t) in d p,
+    least, which is what _cleared gives for it.  They come from
+    action_table's integers on its nonzero support: with an entry p, the
+    denominator den = sum_s a_s u^(k-s), d = a_0 its leading coefficient,
+    and N_t the coefficient of u^(k-t) in p,
       S_t = d^t N_t - sum_{s=1..k} a_s d^(s-1) S_(t-s)
     is an integer and the u^-t coefficient of p / den is S_t / d^(t+1).
-    Each tail is divided once by gcd(d^(t+1), all of its entries).
+    Each tail is divided once by gcd(d^(t+1), all of its entries), so the
+    pairs do not depend on the table's scale.
     """
     if depth is None:
         depth = 4 * spec.m + 2
-    den, support = _integer_table(spec)
+    den, support = action_table(spec)
     dim, n = spec.dim, spec.n
     k = len(den) - 1
     d = den[-1]

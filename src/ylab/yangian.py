@@ -9,10 +9,11 @@ the generator matrices
     d <  0:  T_ij(u) = delta_ij - E_ji / (u - z + 1)
 
 with z = mu_a, and the full module multiplies these n x n operator grids
-factor by factor (the coproduct sums over all intermediate indices).  All
-matrices live over the field of rational functions in u; verification
-routines either stay symbolic or sample on integer grids large enough that
-agreement is an exact degree-bound certificate.
+factor by factor (the coproduct sums over all intermediate indices), in
+integers on the nonzero entries; rational functions in u are formed only
+where the API returns them.  Verification routines either stay symbolic or
+sample on integer grids large enough that agreement is an exact
+degree-bound certificate.
 """
 
 from __future__ import annotations
@@ -114,6 +115,38 @@ class ModuleSpec:
         return out
 
 
+# ------------------------------------------------------ integer polynomials
+
+# Polynomials in u with integer coefficients are plain int sequences, lowest
+# degree first with no trailing zeros; the empty sequence is zero.
+
+def _iu_trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _iu_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _iu_trim(out)
+
+
+def _iu_add(a: list[int], b: list[int]) -> list[int]:
+    pairs = itertools.zip_longest(a, b, fillvalue=0)
+    return _iu_trim([x + y for x, y in pairs])
+
+
+def _iu_sub(a: list[int], b: list[int]) -> list[int]:
+    pairs = itertools.zip_longest(a, b, fillvalue=0)
+    return _iu_trim([x - y for x, y in pairs])
+
+
 # ------------------------------------------------- one exterior-power factor
 
 def wedge_basis(n: int, k: int) -> list[tuple[int, ...]]:
@@ -141,36 +174,44 @@ def _wedge_moves(n: int, k: int, i: int, j: int
 
 
 @lru_cache(maxsize=None)
-def _factor_table(n: int, d: int, z: Fraction
-                  ) -> tuple[tuple, Poly]:
-    """Numerator grid and common denominator for one factor.
+def _factor_table(n: int, d: int, z: Fraction) -> tuple[tuple, tuple]:
+    """One factor's generator matrices in integers, on their nonzero support.
 
-    Returns (grid, den) where grid[i-1][j-1] is a matrix of Poly and the
-    factor's T_ij(u) equals grid[i-1][j-1] / den entrywise: den on the
-    diagonal of T_ii, plus the moves of E_ij (d > 0) or -E_ji (d < 0), and
-    ZERO elsewhere.  Lambda^0 has no moves, so d = 0 is the identity over
-    den = 1.
+    Returns (den, table).  With z = a/b in lowest terms, den is b*u - a
+    (d > 0), b*u - a + b (d < 0) or 1 (d = 0), and table[i-1][j-1] lists
+    (r, c, coefficients) for the nonzero entries of den * T_ij(u), in C
+    order: den on the diagonal of T_ii, plus b times the moves of E_ij
+    (d > 0) or of -E_ji (d < 0).  Lambda^0 has no moves, so d = 0 is the
+    identity over 1.
     """
+    a, b = z.numerator, z.denominator
+    den = (1,) if d == 0 else (-a, b) if d > 0 else (b - a, b)
     size = comb(n, abs(d))
-    den = ONE if d == 0 else linear(z) if d > 0 else linear(z - 1)
-    # each move has an entry of its own, on the diagonal only when i == j
-    entry = {s: (Poly.constant(s), den + Poly.constant(s)) for s in (1, -1)}
-    rows = []
+    table = []
     for i in range(1, n + 1):
         row = []
         for j in range(1, n + 1):
-            mat = [[ZERO] * size for _ in range(size)]
-            if i == j:
-                for r in range(size):
-                    mat[r][r] = den
+            entries = {(r, r): den for r in range(size)} if i == j else {}
             moves = (_wedge_moves(n, d, i, j) if d > 0
                      else [(r, c, -s) for r, c, s
                            in _wedge_moves(n, -d, j, i)])
             for r, c, s in moves:
-                mat[r][c] = entry[s][r == c]
-            row.append(tuple(map(tuple, mat)))
-        rows.append(tuple(row))
-    return tuple(rows), den
+                entries[r, c] = tuple(_iu_add(entries.get((r, c), ()),
+                                              [s * b]))
+            row.append(tuple((r, c, cs)
+                             for (r, c), cs in sorted(entries.items())))
+        table.append(tuple(row))
+    return den, tuple(table)
+
+
+def _ratfun_matrix(entries, den, dim: int) -> tuple[tuple[RatFun, ...], ...]:
+    """The dim x dim RatFun matrix with the listed (r, c, coefficients)
+    entries over den, and zero elsewhere."""
+    zero, den = RatFun(ZERO), Poly(den)
+    out = [[zero] * dim for _ in range(dim)]
+    for r, c, cs in entries:
+        out[r][c] = RatFun(Poly(cs), den)
+    return tuple(map(tuple, out))
 
 
 def factor_action(n: int, d: int, z, i: int, j: int
@@ -178,51 +219,57 @@ def factor_action(n: int, d: int, z, i: int, j: int
     """T_ij(u) of a single exterior-power factor, as a RatFun matrix."""
     if abs(d) > n:
         raise ValueError(f"|d| = {abs(d)} exceeds n = {n}")
-    grid, den = _factor_table(n, d, q(z))
-    mat = grid[i - 1][j - 1]
-    return tuple(tuple(RatFun(entry, den) for entry in row) for row in mat)
+    den, table = _factor_table(n, d, q(z))
+    return _ratfun_matrix(table[i - 1][j - 1], den, comb(n, abs(d)))
 
 
 # -------------------------------------------------------- full module tables
 
-def _block_entry(left, right, i: int, j: int):
-    """Entry (i, j) of the block product of two grids of Poly matrices.
+def _coproduct(left, right, size: int) -> tuple:
+    """The table of left (x) right, from the two tables' supports.
 
-    It is sum_k left[i][k] (x) right[k][j], with (x) the Kronecker product.
-    Zero is canonical (no coefficients), so only products of two nonzero
-    entries are formed and every other entry stays ZERO.
+    Entry (i, j) is sum_k left[i][k] (x) right[k][j], with (x) the Kronecker
+    product and size the dimension of right's matrices; entries multiply as
+    integer polynomials.  Only products of two supported entries are formed,
+    and a sum that cancels leaves the support.
     """
-    rb, cb = len(right[0][0]), len(right[0][0][0])
-    out = [[ZERO] * (len(left[0][0][0]) * cb)
-           for _ in range(len(left[0][0]) * rb)]
-    for k in range(len(right)):
-        b = [(r2, c2, y) for r2, row in enumerate(right[k][j])
-             for c2, y in enumerate(row) if y]
-        for r1, row in enumerate(left[i][k]):
-            for c1, x in enumerate(row):
-                if x:
-                    for r2, c2, y in b:
-                        out[r1 * rb + r2][c1 * cb + c2] += x * y
-    return tuple(map(tuple, out))
+    n = len(left)
+    table = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc: dict = {}
+            for k in range(n):
+                for r1, c1, x in left[i][k]:
+                    r1, c1 = r1 * size, c1 * size
+                    for r2, c2, y in right[k][j]:
+                        key = (r1 + r2, c1 + c2)
+                        p = _iu_mul(x, y)
+                        acc[key] = _iu_add(acc[key], p) if key in acc else p
+            row.append(tuple((r, c, tuple(cs))
+                             for (r, c), cs in sorted(acc.items()) if cs))
+        table.append(tuple(row))
+    return tuple(table)
 
 
 @lru_cache(maxsize=32)
-def action_table(spec: ModuleSpec) -> tuple[tuple, Poly]:
-    """All n^2 generator matrices of the module, over a shared denominator.
+def action_table(spec: ModuleSpec) -> tuple[tuple, tuple]:
+    """All n^2 generator matrices of the module in integers, on their support.
 
-    Returns (grid, den): grid[i-1][j-1] is a dim x dim matrix of Poly with
-    T_ij(u) = grid[i-1][j-1] / den.  The grid is assembled by the coproduct:
-    grids of consecutive factors multiply as block matrices whose entrywise
-    product is the Kronecker product, leftmost factor slowest.
+    Returns (den, table): den is the product of the factors' denominators
+    (see _factor_table), and table[i-1][j-1] lists (r, c, coefficients) for
+    the nonzero entries of den * T_ij(u) in C order, coefficients lowest
+    degree first.  The coproduct T_ij = sum_k T_ik (x) T_kj assembles it,
+    leftmost factor slowest.  Its scale (den's leading coefficient, the
+    product of the factors' b) moves no certificate that reads it.
     """
     n = spec.n
-    grid, den = _factor_table(n, spec.nu[0], spec.mu[0])
+    den, table = _factor_table(n, spec.nu[0], spec.mu[0])
     for d, z in zip(spec.nu[1:], spec.mu[1:]):
-        g2, d2 = _factor_table(n, d, z)
-        grid = tuple(tuple(_block_entry(grid, g2, i, j) for j in range(n))
-                     for i in range(n))
-        den = den * d2
-    return grid, den
+        den2, table2 = _factor_table(n, d, z)
+        den = tuple(_iu_mul(den, den2))
+        table = _coproduct(table, table2, comb(n, abs(d)))
+    return den, table
 
 
 @dataclass(frozen=True)
@@ -238,22 +285,18 @@ def module_action(spec: ModuleSpec, i: int, j: int) -> ActionMatrix:
     """T_ij(u) on the full module; entries canonical, denominators checked."""
     if not (1 <= i <= spec.n and 1 <= j <= spec.n):
         raise ValueError(f"indices ({i}, {j}) out of range 1..{spec.n}")
-    grid, den = action_table(spec)
+    den, table = action_table(spec)
+    support = table[i - 1][j - 1]
+    entries = _ratfun_matrix(support, den, spec.dim)
     bound = spec.denominator_bound()
-    entries = []
-    for row in grid[i - 1][j - 1]:
-        out_row = []
-        for p in row:
-            f = RatFun(p, den)
-            if not (bound % f.den).is_zero():
-                raise ArithmeticError(
-                    f"denominator {f.den} of T_{i}{j} escapes the pole bound")
-            if f.num.degree > f.den.degree:
-                raise ArithmeticError(
-                    f"entry of T_{i}{j} not proper: {f}")
-            out_row.append(f)
-        entries.append(tuple(out_row))
-    return ActionMatrix(i, j, tuple(entries))
+    for r, c, _ in support:
+        f = entries[r][c]
+        if not (bound % f.den).is_zero():
+            raise ArithmeticError(
+                f"denominator {f.den} of T_{i}{j} escapes the pole bound")
+        if f.num.degree > f.den.degree:
+            raise ArithmeticError(f"entry of T_{i}{j} not proper: {f}")
+    return ActionMatrix(i, j, entries)
 
 
 # ------------------------------------------------------------- highest vector
@@ -308,21 +351,19 @@ def eigen_series(spec: ModuleSpec, i: int) -> RatFun:
     actual eigenvector of T_ii(u), and that the eigenvalue agrees with the
     closed product form; any mismatch raises NotEigenvector.
     """
-    grid, den = action_table(spec)
-    hv = highest_vector(spec)
-    col = hv.index
-    mat = grid[i - 1][i - 1]
-    for r in range(spec.dim):
-        if r != col and not mat[r][col].is_zero():
+    den, table = action_table(spec)
+    col = highest_vector(spec).index
+    value = RatFun(ZERO)
+    for r, c, cs in table[i - 1][i - 1]:
+        if c == col and r != col:
             raise NotEigenvector(
                 f"T_{i}{i} maps the distinguished vector off itself (row {r})")
-    value = RatFun(mat[col][col], den)
+        if (r, c) == (col, col):
+            value = RatFun(Poly(cs), Poly(den))
     for j in range(i + 1, spec.n + 1):
-        upper = grid[i - 1][j - 1]
-        for r in range(spec.dim):
-            if not upper[r][col].is_zero():
-                raise NotEigenvector(
-                    f"T_{i}{j} does not annihilate the distinguished vector")
+        if any(c == col for _, c, _ in table[i - 1][j - 1]):
+            raise NotEigenvector(
+                f"T_{i}{j} does not annihilate the distinguished vector")
     closed = eigen_closed(spec, i)
     if value != closed:
         raise NotEigenvector(
@@ -413,10 +454,9 @@ def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
     degree at most 4m + 2 in each variable, so agreement on an integer grid
     with more than 4m + 2 distinct values per axis (off the poles) is an
     exact proof.  The samples are those of action_table itself: its
-    numerator grid, cleared once to integers by the common denominator L of
-    its coefficients and evaluated at an integer w, is L * den(w) * T(w),
-    so no value is divided.  Both sides are linear in T(u) and in T(v), so
-    that nonzero scale at each point leaves the relation unchanged.
+    integer entries evaluated at an integer w give den(w) * T(w), so no
+    value is divided.  Both sides are linear in T(u) and in T(v), so that
+    nonzero scale at each point leaves the relation unchanged.
 
     Only the products that can be nonzero are formed.  The support is read
     from the table: an entry outside it is the zero polynomial, so it is
@@ -439,20 +479,20 @@ def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
     vs = _integer_samples(per_axis, poles, -1, -1)
 
     n, dim = spec.n, spec.dim
-    grid, _ = action_table(spec)
-    flat = [p for row in grid for mat in row for entries in mat
-            for p in entries]
-    support = np.flatnonzero([not p.is_zero() for p in flat])
-    _, rows = _cleared([flat[s].coeffs for s in support])
-    width = max(map(len, rows), default=1)
-    coeffs = np.array([r + [0] * (width - len(r)) for r in rows]
-                      + [[0] * width], dtype=object)
+    _, table = action_table(spec)
+    entries = [(((i * n + j) * dim + r) * dim + c, cs)
+               for i in range(n) for j in range(n)
+               for r, c, cs in table[i][j]]
+    support = np.array([e[0] for e in entries], dtype=np.intp)
+    width = max((len(e[1]) for e in entries), default=1)
+    coeffs = np.array([list(cs) + [0] * (width - len(cs))
+                       for _, cs in entries] + [[0] * width], dtype=object)
     left, right, starts, out = _support_products(support, n, dim)
     codes, at_p, at_q, at_cross = _relation_slots(out, n, dim)
 
     def sample(w: int) -> tuple[np.ndarray, int]:
-        """L * den(w) * T(w) on the support, with the zero slot last, and
-        its largest absolute entry."""
+        """den(w) * T(w) on the support, with the zero slot last, and its
+        largest absolute entry."""
         vals = coeffs.dot(np.array([w ** k for k in range(width)],
                                    dtype=object))
         return vals, np.abs(vals).max()
@@ -482,41 +522,10 @@ def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
 # ----------------------------------------- product-form eigenvalue spectrum
 
 # Bivariate polynomials for the characteristic polynomial and its split:
-# u-polynomials are plain int lists (low-to-high, no trailing zeros) and
-# t-polynomials are lists of those.  The matrix and the candidate roots are
+# u-polynomials are integer lists as above and t-polynomials are lists of
+# those.  The table is in integers already and the candidate roots are
 # cleared to integers up front, so elimination, root tests and deflation
 # never touch Fraction or gcd reduction.
-
-def _iu_trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _iu_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _iu_trim(out)
-
-
-def _iu_add(a: list[int], b: list[int]) -> list[int]:
-    size = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-           for i in range(size)]
-    return _iu_trim(out)
-
-
-def _iu_sub(a: list[int], b: list[int]) -> list[int]:
-    size = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-           for i in range(size)]
-    return _iu_trim(out)
-
 
 def _iu_div(a: list[int], b: list[int]) -> list[int]:
     """Exact division in Z[u]; the quotient is promised to be integral."""
@@ -577,20 +586,20 @@ def _it_div(a, b):
     return out
 
 
-def _char_poly_in_t(mat, den: Poly, dim: int) -> list[list[int]]:
-    """det(t - mat/den) up to a nonzero scalar, in Z[u][t], low t first.
+def _char_poly_in_t(entries: dict, den, dim: int) -> list[list[int]]:
+    """det(t - A/den) up to a nonzero scalar, in Z[u][t], low t first.
 
-    The matrix t*den - mat, scaled by the common denominator L of all
-    coefficients, has integer bivariate entries; fraction-free elimination
-    divides exactly by the previous pivot at every step, and the final
-    entry is the characteristic polynomial times (L*den)^dim.  The scalar
+    A is the dim x dim matrix over Z[u] whose nonzero entries are
+    entries[r, c], and den is an integer polynomial, as in action_table.
+    The matrix t*den - A has integer bivariate entries; fraction-free
+    elimination divides exactly by the previous pivot at every step, and the
+    final entry is the characteristic polynomial times den^dim.  The scalar
     moves no root in t, so it is kept.
     """
-    _, rows = _cleared([p.coeffs for row in mat for p in row]
-                       + [den.coeffs])
-    dpoly = rows[-1]
-    M = [[[[-x for x in rows[r * dim + c]]] + ([dpoly] if r == c else [])
-          for c in range(dim)] for r in range(dim)]
+    dpoly = list(den)
+    M = [[[[-x for x in entries.get((r, c), ())]]
+          + ([dpoly] if r == c else []) for c in range(dim)]
+         for r in range(dim)]
     prev = [[1]]
     for k in range(dim - 1):
         # no pivoting: M[k][k] is a leading minor of degree k+1 in t, never 0
@@ -638,14 +647,18 @@ def eigen_candidates(spec: ModuleSpec) -> dict[RatFun, tuple]:
     return cands
 
 
-def _support_blocks(mat) -> list[list[int]]:
-    """Connected components of mat's off-diagonal support, each sorted.
+def _support_blocks(support, dim: int) -> list[list[int]]:
+    """Connected components of a matrix's off-diagonal support, each sorted.
 
-    Indices r != c are joined when entry (r, c) or (c, r) is nonzero.
+    support lists the (r, c, coefficients) of the nonzero entries of a
+    dim x dim matrix; indices r != c are joined when (r, c) or (c, r) is
+    among them.
     """
-    dim = len(mat)
-    link = [{c for c in range(dim) if c != r and (mat[r][c] or mat[c][r])}
-            for r in range(dim)]
+    link = [set() for _ in range(dim)]
+    for r, c, _ in support:
+        if r != c:
+            link[r].add(c)
+            link[c].add(r)
     seen, blocks = set(), []
     for start in range(dim):
         if start not in seen:
@@ -672,7 +685,8 @@ def eigenform_check(spec: ModuleSpec) -> EigenReport:
     polynomial there (von zur Gathen and Gerhard, Modern Computer Algebra,
     ch. 6): every step is exact integer arithmetic.
 
-    The matrix is split first into the connected components of its
+    The matrix is read in integers from action_table, over its
+    denominator, and split first into the connected components of its
     off-diagonal support, read from the table itself.  Listing the basis
     block by block is a permutation similarity that makes the matrix block
     diagonal, so det(t - A) = prod_B det(t - A_B) exactly, each block's
@@ -683,16 +697,22 @@ def eigenform_check(spec: ModuleSpec) -> EigenReport:
     """
     if spec.dim > 64:
         raise ValueError("spectrum check is limited to dimension <= 64")
-    grid, den = action_table(spec)
+    den, table = action_table(spec)
     cands = [(_primitive_pair(g), label) for g, label
              in sorted(eigen_candidates(spec).items(),
                        key=lambda kv: str(kv[0]))]
     spectra = []
     for i in range(spec.n):
-        mat = grid[i][i]
-        chars = [_char_poly_in_t([[mat[r][c] for c in block] for r in block],
-                                 den, len(block))
-                 for block in _support_blocks(mat)]
+        support = table[i][i]
+        blocks = _support_blocks(support, spec.dim)
+        home = {r: (b, k) for b, block in enumerate(blocks)
+                for k, r in enumerate(block)}
+        parts: list[dict] = [{} for _ in blocks]
+        for r, c, cs in support:
+            (b, k), (_, kc) = home[r], home[c]
+            parts[b][k, kc] = cs
+        chars = [_char_poly_in_t(part, den, len(block))
+                 for part, block in zip(parts, blocks)]
         counts = []
         for (N, D), label in cands:
             mult = 0

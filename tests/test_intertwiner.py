@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ylab.intertwiner as itw
+from reference_coproduct import reference_table
 from ylab.battery import dominant_battery, word_battery
 from ylab.duality import dual_iso
 from ylab.exact import _cleared
@@ -344,9 +345,10 @@ def test_intertwine_check_catches_corruption():
 
 
 def dense_intertwine_check(spec, inter):
-    """intertwine_check's reference: every entry of I A and B I, over Poly."""
-    src_grid, src_den = action_table(spec)
-    tgt_grid, tgt_den = action_table(inter.target_spec)
+    """intertwine_check's reference: every entry of I A and B I, over Poly,
+    on the Fraction coproduct's grids."""
+    src_grid, src_den = reference_table(spec)
+    tgt_grid, tgt_den = reference_table(inter.target_spec)
     n = spec.n
     for i in range(n):
         for j in range(n):
@@ -382,7 +384,7 @@ def test_intertwine_matches_dense_reference_on_every_bumped_entry(which):
     else:
         spec = spec_of(2, (1, F(1, 2)), (1, -1))
         inter = dual_iso(spec)
-        assert action_table(spec)[1] != action_table(inter.target_spec)[1]
+        assert action_table(spec)[0] != action_table(inter.target_spec)[0]
     outcomes = set()
     for r in range(spec.dim):
         for c in range(spec.dim):
@@ -397,10 +399,11 @@ def test_intertwine_matches_dense_reference_on_every_bumped_entry(which):
 
 def fraction_series_tails(spec, depth=None):
     """_series_tails' reference: the Laurent recurrence in Fractions, on
-    every entry, yielding each tail as a dense Fraction matrix."""
+    every entry of the Fraction coproduct's grid, yielding each tail as a
+    dense Fraction matrix."""
     if depth is None:
         depth = 4 * spec.m + 2
-    grid, den = action_table(spec)
+    grid, den = reference_table(spec)
     dim, n = spec.dim, spec.n
     dhat = list(reversed(den.coeffs))  # den monic => dhat[0] == 1
     k = len(dhat) - 1

@@ -1,5 +1,7 @@
 """Standard modules: factor matrices, coproduct assembly, eigen data, RTT."""
 
+import importlib
+import pkgutil
 from fractions import Fraction as F
 from math import isqrt
 
@@ -8,8 +10,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ylab
+import ylab.intertwiner as itw
 import ylab.yangian as ya
-from ylab.exact import ONE, U, ZERO, Poly, RatFun, _cleared, linear
+from reference_coproduct import (cleared, reference_action, reference_factor,
+                                 reference_table)
+from ylab.battery import dominant_battery, mixed_battery, rtt_battery
+from ylab.exact import ONE, ZERO, Poly, RatFun, linear
 from ylab.grassmann import Grassmann
 from ylab.yangian import (ActionMatrix, ModuleSpec, NoCandidateFactorization,
                           RelationViolated, eigen_closed, eigen_series,
@@ -83,8 +90,10 @@ def textbook_unit(n, k, i, j):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_factor_table_matches_textbook_units(n):
-    """grid[i][j] is delta_ij den + E_ij (d > 0) or - E_ji (d < 0) over
-    den = u - z or u - z + 1, and the identity over 1 when d = 0."""
+    """The Poly grid is delta_ij den + E_ij (d > 0) or - E_ji (d < 0) over
+    den = u - z or u - z + 1, and the identity over 1 when d = 0; the
+    integer table is that grid and den times b, for z = a/b, on the nonzero
+    entries in C order."""
     for d in range(-n, n + 1):
         size = len(wedge_basis(n, abs(d)))
         for z in (F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(7, 5)):
@@ -101,15 +110,70 @@ def test_factor_table_matches_textbook_units(n):
                         + Poly.constant(unit.get((r, c), 0))
                         for c in range(size)) for r in range(size)))
                 grid.append(tuple(row))
-            assert ya._factor_table(n, d, z) == (tuple(grid), den)
+            assert reference_factor(n, d, z) == (tuple(grid), den)
+            b = 1 if d == 0 else z.denominator
+
+            def scaled(p):
+                return tuple(int(b * x) for x in p.coeffs)
+
+            table = tuple(tuple(
+                tuple((r, c, scaled(p)) for r, row in enumerate(mat)
+                      for c, p in enumerate(row) if p)
+                for mat in row) for row in grid)
+            assert ya._factor_table(n, d, z) == (scaled(den), table)
 
 
 def test_module_tables_keep_their_memo_reset():
     """Callers that time cold work, such as the benchmark, reset both memo
-    tables with cache_clear."""
-    assert callable(ya.action_table.cache_clear)
-    assert callable(ya._factor_table.cache_clear)
+    tables with cache_clear.  They are the only memos on the table path,
+    and the package holds no other memo but the reduced-word one, so after
+    the clears a module table is built again from the factors."""
+    assert ya.action_table.cache_info().maxsize == 32
     assert ya._factor_table.cache_info().maxsize is None
+    modules = [importlib.import_module(f"ylab.{info.name}")
+               for info in pkgutil.iter_modules(ylab.__path__)]
+    memos = {value for module in modules for value in vars(module).values()
+             if hasattr(value, "cache_clear")}
+    assert memos == {ya.action_table, ya._factor_table,
+                     itw._reduced_words_of}
+    spec = ModuleSpec.make(2, (F(1, 2), 3, F(1, 2)), (1, -2, 1))
+    before = ya.action_table(spec)
+    ya.action_table.cache_clear()
+    ya._factor_table.cache_clear()
+    assert ya.action_table(spec) == before
+    assert ya.action_table.cache_info().misses == 1
+    assert ya.action_table.cache_info().hits == 0
+    assert ya._factor_table.cache_info().misses == 2
+    assert ya._factor_table.cache_info().hits == 1
+
+
+def test_module_table_is_the_reference_coproduct_up_to_scale():
+    """On every battery spec the integer table is the Fraction coproduct
+    cleared to integers times one positive rational, and the RatFun
+    matrices and eigenvalues built from it are the Poly grid's."""
+    specs = dict.fromkeys(rtt_battery() + dominant_battery()
+                          + mixed_battery())
+    for spec in specs:
+        den, table = ya.action_table(spec)
+        ref_den, ref_table = cleared(spec)
+        scale = F(den[-1], ref_den[-1])
+        assert scale > 0
+
+        def scaled(cs):
+            return tuple(scale * x for x in cs)
+
+        assert den == scaled(ref_den)
+        assert table == tuple(tuple(tuple((r, c, scaled(cs))
+                                          for r, c, cs in entries)
+                                    for entries in row) for row in ref_table)
+        grid, poly_den = reference_table(spec)
+        col = highest_vector(spec).index
+        for i in range(1, spec.n + 1):
+            for j in range(1, spec.n + 1):
+                assert module_action(spec, i, j).entries == \
+                    reference_action(spec, i, j)
+            assert eigen_series(spec, i) == RatFun(
+                grid[i - 1][i - 1][col][col], poly_den)
 
 
 # ------------------------------------------------------------ module assembly
@@ -255,9 +319,9 @@ def test_rtt_rejects_undersampling():
 def dense_rtt_check(spec, samples=None):
     """rtt_check's reference: every product of the dense tensors, by einsum.
 
-    Same grid, same integer samples and the same int64/object rule as
-    rtt_check, but all n^2 dim^2 entries take part and the relation is
-    compared on the full (n, n, n, n, dim, dim) tensors.
+    Same table, laid out densely, same integer samples and the same
+    int64/object rule as rtt_check, but all n^2 dim^2 entries take part and
+    the relation is compared on the full (n, n, n, n, dim, dim) tensors.
     """
     need = 4 * spec.m + 3
     samples = need * need if samples is None else samples
@@ -266,12 +330,14 @@ def dense_rtt_check(spec, samples=None):
     us = ya._integer_samples(per_axis, poles, 1, 1)
     vs = ya._integer_samples(per_axis, poles, -1, -1)
     n, dim = spec.n, spec.dim
-    grid, _ = ya.action_table(spec)
-    _, rows = _cleared([p.coeffs for row in grid for mat in row
-                        for entries in mat for p in entries])
-    width = max(map(len, rows))
-    coeffs = np.array([r + [0] * (width - len(r)) for r in rows],
-                      dtype=object).reshape(n, n, dim, dim, width)
+    _, table = ya.action_table(spec)
+    width = max((len(cs) for row in table for entries in row
+                 for _, _, cs in entries), default=0)
+    coeffs = np.zeros((n, n, dim, dim, width), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            for r, c, cs in table[i][j]:
+                coeffs[i, j, r, c, :len(cs)] = cs
 
     def sample(w):
         mats = coeffs.dot(np.array([w ** k for k in range(width)],
@@ -308,28 +374,32 @@ def rtt_outcome(check, spec):
 
 
 def corrupt(monkeypatch, spec, a, b, r, c, change):
-    """Make action_table serve spec's table with entry (r, c) of T_ab
-    replaced by change(entry)."""
-    grid, den = ya.action_table(spec)
-    rows = [list(row) for row in grid]
-    mat = [list(row) for row in rows[a][b]]
-    mat[r][c] = change(mat[r][c])
-    rows[a][b] = tuple(map(tuple, mat))
+    """Make action_table serve spec's integer table with entry (r, c) of
+    T_ab replaced by change(coefficients); an entry that changes to no
+    coefficients leaves the support, and one that was absent joins it."""
+    den, table = ya.action_table(spec)
+    rows = [list(row) for row in table]
+    entries = {(rr, cc): cs for rr, cc, cs in rows[a][b]}
+    new = tuple(change(entries.pop((r, c), ())))
+    if new:
+        entries[r, c] = new
+    rows[a][b] = tuple((rr, cc, cs)
+                       for (rr, cc), cs in sorted(entries.items()))
     corrupted = tuple(map(tuple, rows))
-    monkeypatch.setattr(ya, "action_table", lambda s: (corrupted, den))
+    monkeypatch.setattr(ya, "action_table", lambda s: (den, corrupted))
 
 
 def cells(spec, a, b, nonzero):
     """The (r, c) of T_ab's nonzero entries, or of its zero entries."""
-    mat = ya.action_table(spec)[0][a][b]
-    return [(r, c) for r, row in enumerate(mat) for c, p in enumerate(row)
-            if p.is_zero() != nonzero]
+    support = {(r, c) for r, c, _ in ya.action_table(spec)[1][a][b]}
+    return [(r, c) for r in range(spec.dim) for c in range(spec.dim)
+            if ((r, c) in support) == nonzero]
 
 
 CORRUPTIONS = [
-    (True, lambda p: p + ONE),      # an entry of the support changes
-    (True, lambda p: ZERO),         # a nonzero entry leaves the support
-    (False, lambda p: U + 2),       # a structurally zero entry joins it
+    (True, lambda cs: ya._iu_add(cs, [1])),   # a supported entry changes
+    (True, lambda cs: ()),                    # a nonzero entry leaves
+    (False, lambda cs: (2, 1)),               # a zero entry joins, as u + 2
 ]
 
 
@@ -354,9 +424,8 @@ def test_rtt_object_dtype_path(monkeypatch):
     so the check runs on Python integers; it still passes and still
     catches a corrupted table."""
     spec = ModuleSpec.make(2, (F(1, 10**9 + 7), F(3, 10**9 + 9)), (1, -1))
-    grid, _ = ya.action_table(spec)
-    _, rows = _cleared([p.coeffs for row in grid for mat in row
-                        for entries in mat for p in entries])
+    _, table = ya.action_table(spec)
+    rows = [cs for row in table for entries in row for _, _, cs in entries]
 
     def peak(w):
         return max(abs(sum(x * w ** k for k, x in enumerate(r))) for r in rows)
@@ -364,7 +433,7 @@ def test_rtt_object_dtype_path(monkeypatch):
     assert peak(1) * peak(-1) >= 2 ** 62     # the first pair is past int64
     assert rtt_check(spec).passed
     corrupt(monkeypatch, spec, 1, 0, *cells(spec, 1, 0, True)[0],
-            lambda p: p * U)
+            lambda cs: (0, *cs))    # times u
     with pytest.raises(RelationViolated):
         rtt_check(spec)
 
@@ -424,13 +493,14 @@ def dense_eigenform_check(spec):
     """eigenform_check's reference: one characteristic polynomial of the
     whole dim x dim matrix, deflated by the same candidates in the same
     order."""
-    grid, den = ya.action_table(spec)
+    den, table = ya.action_table(spec)
     cands = [(ya._primitive_pair(g), label) for g, label
              in sorted(ya.eigen_candidates(spec).items(),
                        key=lambda kv: str(kv[0]))]
     spectra = []
     for i in range(spec.n):
-        char = ya._char_poly_in_t(grid[i][i], den, spec.dim)
+        char = ya._char_poly_in_t({(r, c): cs for r, c, cs in table[i][i]},
+                                  den, spec.dim)
         counts = []
         for (N, D), label in cands:
             mult = 0
@@ -488,8 +558,8 @@ def test_spectrum_split_follows_a_corrupted_support(monkeypatch):
     spec = ModuleSpec.make(2, (0, 3), (1, 1))
     outcomes = set()
     for i in range(spec.n):
-        mat = ya.action_table(spec)[0][i][i]
-        blocks = ya._support_blocks(mat)
+        blocks = ya._support_blocks(ya.action_table(spec)[1][i][i],
+                                    spec.dim)
         assert len(blocks) == 3
         home = {r: b for b, block in enumerate(blocks) for r in block}
         for r in range(spec.dim):
@@ -498,11 +568,11 @@ def test_spectrum_split_follows_a_corrupted_support(monkeypatch):
                     continue
                 for pair in (False, True):
                     with monkeypatch.context() as patch:
-                        corrupt(patch, spec, i, i, r, c, lambda p: U + 2)
+                        corrupt(patch, spec, i, i, r, c, lambda cs: (2, 1))
                         if pair:
-                            corrupt(patch, spec, i, i, c, r, lambda p: ONE)
-                        joined = ya.action_table(spec)[0][i][i]
-                        assert len(ya._support_blocks(joined)) == 2
+                            corrupt(patch, spec, i, i, c, r, lambda cs: (1,))
+                        joined = ya.action_table(spec)[1][i][i]
+                        assert len(ya._support_blocks(joined, spec.dim)) == 2
                         got = eigen_outcome(eigenform_check, spec)
                         assert got == eigen_outcome(dense_eigenform_check,
                                                     spec)
@@ -593,9 +663,9 @@ def test_rtt_matches_dense_reference(spec, data):
     n, dim = spec.n, spec.dim
     a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     r, c = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
-    new = data.draw(st.sampled_from([ZERO, ONE, U, U + 1]))
+    new = data.draw(st.sampled_from([(), (1,), (0, 1), (1, 1)]))
     with pytest.MonkeyPatch.context() as monkeypatch:
-        corrupt(monkeypatch, spec, a, b, r, c, lambda p: new)
+        corrupt(monkeypatch, spec, a, b, r, c, lambda cs: new)
         assert rtt_outcome(rtt_check, spec) == rtt_outcome(dense_rtt_check,
                                                            spec)
 
