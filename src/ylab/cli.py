@@ -87,18 +87,21 @@ class JobConfig:
 # ------------------------------------------------------------------- cache
 
 def _cache_dir(args) -> Optional[str]:
+    if args.cache_dir == "":  # would read entries from the working directory
+        raise MalformedInput("--cache-dir must name a directory")
     return os.environ.get("YLAB_CACHE") or args.cache_dir
 
 
 def cache_get(directory: str, key: str) -> Optional[str]:
-    """The cached report, or None on a miss; a damaged file is a miss."""
+    """The cached report, or None on a miss; a damaged or unreadable file
+    (a directory, say) is a miss."""
     path = os.path.join(directory, key + ".json")
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
         if jsonio.dumps(json.loads(text)) == text:  # not truncated, say
             return text
-    except (FileNotFoundError, ValueError):  # ValueError: not (UTF-8) JSON
+    except (OSError, ValueError):  # ValueError: not (UTF-8) JSON
         pass
     return None
 
@@ -305,12 +308,22 @@ def cmd_verify(spec: ModuleSpec, suite: str,
 
 # ------------------------------------------------------------------ driver
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _invalid(reason: object) -> int:
+    sys.stderr.write(f"invalid input: {reason}\n")
+    return EXIT_INVALID
+
+
+def _emit(text: str, out: Optional[str], code: int) -> int:
+    """Write the report; returns code, or 2 if --out cannot be written."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return code
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:  # its text is one line: errno, reason and path
+        return _invalid(f"cannot write --out: {exc}")
+    return code
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -376,22 +389,24 @@ def _job_of_args(args) -> tuple[JobConfig, object]:
     raise MalformedInput(f"unknown command {args.command!r}")
 
 
+# Built once per process: parse_args keeps no state between calls.
+_PARSER = _parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(
+    args = _PARSER.parse_args(
         _bind_list_values(sys.argv[1:] if argv is None else argv))
     try:
         config, payload = _job_of_args(args)
+        directory = _cache_dir(args)
     except MalformedInput as exc:
-        sys.stderr.write(f"invalid input: {exc}\n")
-        return EXIT_INVALID
+        return _invalid(exc)
 
-    directory = _cache_dir(args)
     key = config.key()
     if directory is not None:
         cached = cache_get(directory, key)
         if cached is not None:
-            _emit(cached, args.out)
-            return EXIT_OK
+            return _emit(cached, args.out, EXIT_OK)
 
     try:
         if args.command == "build":
@@ -406,12 +421,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             code, doc = cmd_reduce(payload, args.n)
         else:
             code, doc = cmd_verify(payload[0], args.suite, args.samples)
-    except MalformedInput as exc:
-        sys.stderr.write(f"invalid input: {exc}\n")
-        return EXIT_INVALID
-    except (NoSolution, CommonZeroes, IrrationalRoots) as exc:
-        sys.stderr.write(f"invalid input: {exc}\n")
-        return EXIT_INVALID
+    except (MalformedInput, NoSolution, CommonZeroes, IrrationalRoots) as exc:
+        return _invalid(exc)
     except NotDominant as exc:
         sys.stderr.write(f"not dominant: {exc}\n")
         return EXIT_DOMINANCE
@@ -421,9 +432,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     text = jsonio.dumps(doc)
     if directory is not None and code == EXIT_OK:
-        cache_put(directory, key, text)
-    _emit(text, args.out)
-    return code
+        try:
+            cache_put(directory, key, text)
+        except OSError as exc:
+            return _invalid(f"cannot write the cache entry: {exc}")
+    return _emit(text, args.out, code)
 
 
 if __name__ == "__main__":

@@ -83,6 +83,71 @@ def test_long_flags_are_the_parsers_options():
     assert options == set(cli.LONG_FLAGS)
 
 
+# One job of each command, with the stdin it reads.
+ONE_JOB_EACH = [
+    (["build"] + SPEC21, None),
+    (["intertwine", "--n", "2", "--mu", "0,-2", "--nu", "1,1"], None),
+    (["drinfeld"] + SPEC21, None),
+    (["realize"], '{"P":[["0","1"]],"Qn":{"num":["1"],"den":["1"]}}'),
+    (["reduce", "--n", "2"], '[[1,"0"],[-2,"0"]]'),
+    (["verify", "--suite", "eigen"] + SPEC21, None),
+]
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1)
+                        or init(self, *a, **k))
+    for argv, stdin in ONE_JOB_EACH:
+        assert run(capsys, monkeypatch, argv, stdin)[0] == 0
+    assert built == []
+
+
+# Valid jobs and usage errors; argparse writes the latter and exits.
+PARSER_PROBES = [
+    ["build"] + SPEC21,
+    ["drinfeld"] + SPEC21,
+    ["intertwine", "--n", "2", "--mu", "0,-2", "--nu", "1,1", "--wor", "-1,1"],
+    ["verify", "--suite", "rtt", "--sam", "169", "--n", "2", "--mu", "0,0",
+     "--nu", "1,-1"],
+    ["verify", "--suite", "nope"] + SPEC21,
+    ["verify"] + SPEC21,
+    ["build", "--n", "x", "--mu", "0", "--nu", "1"],
+    ["bogus"],
+    [],
+    ["--help"],
+    ["verify", "-h"],
+    ["intertwine", "--n", "2", "--mu", "0,-2", "--nu", "1,1", "--wor"],
+    ["build", "--cache-dir"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as stop:
+        code = ("SystemExit", stop.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_keeps_no_state(capsys, monkeypatch):
+    """The process-wide parser answers every argv, in any order, as a
+    parser built afresh for that call does."""
+    shared = cli._PARSER
+    fresh = {}
+    for argv in PARSER_PROBES:
+        monkeypatch.setattr(cli, "_PARSER", cli._parser())
+        fresh[tuple(argv)] = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_PARSER", shared)
+    assert sum(code == 0 for code, _, _ in fresh.values()) == 3
+    for order in (PARSER_PROBES, PARSER_PROBES[::-1], PARSER_PROBES * 2):
+        for argv in order:
+            assert _outcome(capsys, argv) == fresh[tuple(argv)], argv
+
+
 def test_build_reads_spec_from_stdin(capsys, monkeypatch):
     payload = '{"n":2,"m":2,"mu":["0","0"],"nu":[2,1]}'
     code, out, _ = run(capsys, monkeypatch, ["build"], stdin=payload)
@@ -325,3 +390,57 @@ def test_cache_truncated_entry_is_a_miss(capsys, monkeypatch, tmp_path):
     assert run(capsys, monkeypatch, argv)[:2] == (0, fresh)
     monkeypatch.setattr(cli, "cmd_build", lambda spec: pytest.fail("a miss"))
     assert run(capsys, monkeypatch, argv)[:2] == (0, fresh)  # a hit again
+
+
+def assert_rejected(outcome):
+    code, out, err = outcome
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input:") and err.count("\n") == 1
+
+
+def test_cache_dir_naming_a_file_is_invalid(capsys, monkeypatch, tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_text("not a directory", encoding="utf-8")
+    assert_rejected(run(capsys, monkeypatch,
+                        ["build", "--cache-dir", str(plain)] + SPEC21))
+    assert plain.read_text(encoding="utf-8") == "not a directory"
+
+
+def test_cache_env_naming_a_file_is_invalid(capsys, monkeypatch, tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_text("not a directory", encoding="utf-8")
+    monkeypatch.setenv("YLAB_CACHE", str(plain))
+    assert_rejected(run(capsys, monkeypatch, ["build"] + SPEC21))
+
+
+def test_cache_entry_that_is_a_directory(capsys, monkeypatch, tmp_path):
+    argv = ["build", "--cache-dir", str(tmp_path)] + SPEC21
+    assert run(capsys, monkeypatch, argv)[0] == 0
+    (entry,) = tmp_path.iterdir()
+    entry.unlink()
+    entry.mkdir()
+    computed = []
+    monkeypatch.setattr(cli, "cmd_build",
+                        lambda spec, build=cli.cmd_build:
+                        computed.append(spec) or build(spec))
+    assert_rejected(run(capsys, monkeypatch, argv))
+    assert len(computed) == 1  # a miss that recomputes, then cannot store
+    assert list(tmp_path.iterdir()) == [entry] and entry.is_dir()
+
+
+def test_out_in_a_missing_directory_is_invalid(capsys, monkeypatch,
+                                               tmp_path):
+    out = ["--out", str(tmp_path / "missing" / "report.json")]
+    assert_rejected(run(capsys, monkeypatch, ["build"] + SPEC21 + out))
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    assert run(capsys, monkeypatch, ["build"] + SPEC21 + cache)[0] == 0
+    # a cache hit writes through the same --out
+    assert_rejected(run(capsys, monkeypatch, ["build"] + SPEC21 + cache + out))
+    assert not (tmp_path / "missing").exists()
+
+
+def test_empty_cache_dir_is_invalid(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert_rejected(run(capsys, monkeypatch,
+                        ["build", "--cache-dir", ""] + SPEC21))
+    assert list(tmp_path.iterdir()) == []

@@ -1,0 +1,72 @@
+"""The benchmark wraps and clears ylab functions by name; every name it
+holds must resolve, or only the traced benchmark run would notice a rename.
+
+The names are read from the benchmark's source with ``ast``, without
+importing it."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _module_ast(name: str) -> ast.Module:
+    return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
+
+
+def _assigned(tree: ast.Module, target: str) -> ast.expr:
+    (value,) = [node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == target
+                        for t in node.targets)]
+    return value
+
+
+def _traced_names() -> list[str]:
+    tree = _module_ast("tracing.py")
+    spans = ast.literal_eval(_assigned(tree, "SPANS"))
+    counted = ast.literal_eval(_assigned(tree, "COUNTED"))
+    return [name for name, _ in spans] + list(counted)
+
+
+def _memo_names() -> list[str]:
+    """`module.attr` for each entry of workloads._MEMO_TABLES, with the
+    module named as ylab names it."""
+    tree = _module_ast("workloads.py")
+    aliases = {alias.asname or alias.name: alias.name
+               for node in tree.body if isinstance(node, ast.ImportFrom)
+               and node.module == "ylab" for alias in node.names}
+    names = []
+    for entry in _assigned(tree, "_MEMO_TABLES").elts:
+        assert isinstance(entry, ast.Attribute)
+        assert isinstance(entry.value, ast.Name)
+        names.append(f"{aliases[entry.value.id]}.{entry.attr}")
+    return names
+
+
+def test_names_are_read():
+    assert "cli.main" in _traced_names()
+    assert "cli.cache_get" in _traced_names()
+    assert "yangian.action_table" in _memo_names()
+
+
+def _resolve(name: str):
+    module, *path = name.split(".")
+    owner = importlib.import_module(f"ylab.{module}")
+    if len(path) == 2:  # Class.method: wrapped on the class defining it
+        owner = getattr(owner, path[0])
+        assert path[1] in vars(owner), name
+    return getattr(owner, path[-1])
+
+
+@pytest.mark.parametrize("name", _traced_names())
+def test_traced_name_resolves(name):
+    assert callable(_resolve(name))
+
+
+@pytest.mark.parametrize("name", _memo_names())
+def test_memo_table_name_resolves(name):
+    assert callable(_resolve(name).cache_clear)
