@@ -87,9 +87,10 @@ class JobConfig:
 # ------------------------------------------------------------------- cache
 
 def _cache_dir(args) -> Optional[str]:
-    if args.cache_dir == "":  # would read entries from the working directory
+    directory = os.environ.get("YLAB_CACHE") or args.cache_dir
+    if directory == "":  # would read entries from the working directory
         raise MalformedInput("--cache-dir must name a directory")
-    return os.environ.get("YLAB_CACHE") or args.cache_dir
+    return directory
 
 
 def cache_get(directory: str, key: str) -> Optional[str]:

@@ -440,7 +440,19 @@ def test_out_in_a_missing_directory_is_invalid(capsys, monkeypatch,
 
 
 def test_empty_cache_dir_is_invalid(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("YLAB_CACHE", raising=False)
     monkeypatch.chdir(tmp_path)
     assert_rejected(run(capsys, monkeypatch,
                         ["build", "--cache-dir", ""] + SPEC21))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_env_overrides_an_empty_cache_dir(capsys, monkeypatch,
+                                                tmp_path):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("YLAB_CACHE", str(cache))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, monkeypatch,
+                         ["build", "--cache-dir", ""] + SPEC21)
+    assert (code, err) == (0, "") and out
+    assert [p.parent for p in tmp_path.rglob("*.json")] == [cache]
