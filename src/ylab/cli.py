@@ -322,7 +322,7 @@ def _emit(text: str, out: Optional[str], code: int) -> int:
     try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    except OSError as exc:  # its text is one line: errno, reason and path
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         return _invalid(f"cannot write --out: {exc}")
     return code
 
@@ -435,7 +435,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if directory is not None and code == EXIT_OK:
         try:
             cache_put(directory, key, text)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # as in _emit
             return _invalid(f"cannot write the cache entry: {exc}")
     return _emit(text, args.out, code)
 

@@ -439,6 +439,20 @@ def test_out_in_a_missing_directory_is_invalid(capsys, monkeypatch,
     assert not (tmp_path / "missing").exists()
 
 
+def test_nul_byte_in_a_path_is_invalid(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("YLAB_CACHE", raising=False)
+    monkeypatch.chdir(tmp_path)
+    for flag in ("--cache-dir", "--out"):
+        assert_rejected(run(capsys, monkeypatch,
+                            ["build", flag, "a\x00b"] + SPEC21))
+    assert list(tmp_path.iterdir()) == []
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    assert run(capsys, monkeypatch, ["build"] + SPEC21 + cache)[0] == 0
+    # a cache hit writes through the same --out
+    assert_rejected(run(capsys, monkeypatch,
+                        ["build", "--out", "a\x00b"] + SPEC21 + cache))
+
+
 def test_empty_cache_dir_is_invalid(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("YLAB_CACHE", raising=False)
     monkeypatch.chdir(tmp_path)

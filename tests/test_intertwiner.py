@@ -16,9 +16,9 @@ from ylab.glmops import XY_op, mat_mul, operator_matrix
 from ylab.grassmann import Grassmann, perm_apply, perm_longest
 from ylab.intertwiner import (Intertwiner, IntertwiningViolated, NotDominant,
                               NotReduced, ReducedWord,
-                              WordDependenceViolated, all_reduced_words,
-                              build_I, check_dominant, compose_elementary,
-                              default_word, elementary,
+                              WordDependenceViolated, WordReport,
+                              all_reduced_words, build_I, check_dominant,
+                              compose_elementary, default_word, elementary,
                               elementary_composition_check, image_analysis,
                               intertwine_check, laurent_tail_matrices,
                               root_order, word_independence_check)
@@ -294,24 +294,74 @@ def test_build_matches_fraction_reference_on_every_word():
                 assert build_I(spec, word).matrix == reference_I(spec, word)
 
 
+def perturb_products(monkeypatch, spec, odd):
+    """Make the word walk add odd[s] to one entry of word s's product, in a
+    column away from the distinguished vector's, so the first word's
+    operator still normalizes and only the comparison can fail."""
+    G = Grassmann(spec.m, spec.n)
+    hv = itw._module_positions(G, spec)[highest_vector(spec).index]
+    products = itw._word_products
+
+    def perturbed(factors, orders):
+        for s, total in products(factors, orders):
+            if s in odd:
+                rows = [list(row) for row in total]
+                rows[-1][(hv + 1) % len(rows)] += odd[s]
+                total = tuple(map(tuple, rows))
+            yield s, total
+
+    monkeypatch.setattr(itw, "_word_products", perturbed)
+
+
 @pytest.mark.parametrize("which", [0, -1])
 def test_word_independence_detects_one_perturbed_word(monkeypatch, which):
     spec = word_battery()[4][1]
-    odd = all_reduced_words(4)[which]
-    assemble = itw._assemble
-
-    def perturbed(factors, word):
-        out = assemble(factors, word)
-        if word != odd:
-            return out
-        rows = [list(row) for row in out.matrix]
-        rows[-1][0] += F(1, 3)
-        return Intertwiner(out.spec, out.target_spec,
-                           tuple(map(tuple, rows)))
-
-    monkeypatch.setattr(itw, "_assemble", perturbed)
+    perturb_products(monkeypatch, spec, {which % 16: 1})
     with pytest.raises(WordDependenceViolated):
         word_independence_check(spec)
+
+
+@pytest.mark.parametrize("odd,named", [
+    ({0: 1}, 1), ({0: 1, 1: 1}, 2), ({0: 1, 1: 2}, 1),
+    ({12: 2, 7: 1, 3: 1}, 3), ({15: 2, 14: 1}, 14), ({15: 1}, 15)])
+def test_word_independence_names_the_first_disagreeing_word(monkeypatch,
+                                                            odd, named):
+    spec = word_battery()[4][1]
+    words = all_reduced_words(4)
+    perturb_products(monkeypatch, spec, odd)
+    with pytest.raises(WordDependenceViolated) as caught:
+        word_independence_check(spec)
+    assert str(caught.value) == (f"word {words[named].letters} disagrees"
+                                 f" with {words[0].letters} on {spec}")
+
+
+def test_word_independence_shares_prefix_products(monkeypatch):
+    calls = {"mat_mul": 0, "_module_matrix": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(itw, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(itw, name, counted)
+    spec = word_battery()[4][1]
+    assert word_independence_check(spec).words == 16
+    # 65 distinct nonempty prefixes of the 16 pair sequences, not 16 * 6
+    assert calls == {"mat_mul": 65, "_module_matrix": 1}
+
+
+# The three four-row dim-8 word checks of the cli-cold benchmark's tail.
+WORDS_TAIL = (spec_of(2, (F(-1, 2), 0, F(-1, 2), -1), (-1, -1, -1, 2)),
+              spec_of(2, (F(-1, 3), F(1, 3), F(-1, 3), F(-2, 3)),
+                      (-1, -1, -2, 1)),
+              spec_of(2, (F(3, 2), 1, F(1, 2), 0), (1, 2, -1, 1)))
+
+
+@pytest.mark.parametrize("spec", [spec for specs in word_battery().values()
+                                  for spec in specs] + list(WORDS_TAIL))
+def test_word_independence_matches_fraction_reference(spec):
+    words = all_reduced_words(spec.m)
+    agree = len({reference_I(spec, word) for word in words}) == 1
+    assert word_independence_check(spec) == WordReport(spec, len(words),
+                                                       agree)
 
 
 # -------------------------------------------------------- intertwining check
