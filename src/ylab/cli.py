@@ -435,8 +435,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if directory is not None and code == EXIT_OK:
         try:
             cache_put(directory, key, text)
-        except (OSError, ValueError) as exc:  # as in _emit
+        except (FileExistsError, NotADirectoryError, IsADirectoryError,
+                ValueError) as exc:  # not a directory, or a NUL in the path
             return _invalid(f"cannot write the cache entry: {exc}")
+        except OSError as exc:  # a full or read-only disk: report anyway
+            sys.stderr.write(f"warning: cannot write the cache entry: {exc}\n")
     return _emit(text, args.out, code)
 
 

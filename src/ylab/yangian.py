@@ -384,12 +384,26 @@ def _integer_samples(count: int, forbidden: set[Fraction], start: int,
     return out
 
 
+# Grid values, pairs times tested positions, that rtt_check evaluates at once.
+_GRID_BLOCK = 1 << 15
+
+
 @dataclass(frozen=True)
 class RttReport:
     spec: ModuleSpec
     pairs: int
     degree_bound: int
     passed: bool
+
+
+def _sorted_unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of a sorted array and where each first occurs
+    as np.unique gives them, without the lazy import of numpy.ma that
+    np.unique and np.union1d can make."""
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    starts = np.flatnonzero(first)
+    return values[starts], starts
 
 
 def _support_products(support: np.ndarray, n: int, dim: int):
@@ -416,7 +430,7 @@ def _support_products(support: np.ndarray, n: int, dim: int):
         (gen[left], gen[right], row[left], col[right]),
         (n * n, n * n, dim, dim))
     order = np.argsort(code, kind="stable")
-    out, starts = np.unique(code[order], return_index=True)
+    out, starts = _sorted_unique(code[order])
     zero = len(support)
     return (np.append(left[order], zero), np.append(right[order], zero),
             np.append(starts, len(order)), out)
@@ -442,9 +456,49 @@ def _relation_slots(out: np.ndarray, n: int, dim: int):
         at = np.searchsorted(out, want)
         return np.where(np.append(out, -1)[at] == want, at, len(out))
 
-    codes = np.union1d(out, np.concatenate(crossed(out)))
+    codes, _ = _sorted_unique(np.sort(np.concatenate((out, *crossed(out)))))
     swap, cross = crossed(codes)
     return codes, slot(codes), slot(swap), slot(cross)
+
+
+def _residual_coefficients(spec: ModuleSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, R): the positions (a, b, c, d, i, k) the relation can see,
+    in C order, and R[k, l, s], the coefficient of u^k v^l in the residual
+    (u - v)(P[abcd] - Q[cdab]) - (P[cbad] - Q[cbad]) at codes[s], where
+    P and Q are the products X(u) Y(v) and Y(v) X(u) of action_table.
+
+    An entry is C[s](w) = sum_k C[k, s] w^k, so the products into one
+    position add up to sum_{k,l} G[k, l] u^k v^l with G[k, l] = sum
+    C[k, left] C[l, right], and with the factors swapped to G transposed.
+    G and R run in int64 when 6 g c^2 < 2**63 (g the most products into
+    one position, c the largest |coefficient|), which bounds every partial
+    sum, and on Python integers otherwise.
+    """
+    n, dim = spec.n, spec.dim
+    _, table = action_table(spec)
+    entries = [(((i * n + j) * dim + r) * dim + c, cs)
+               for i in range(n) for j in range(n)
+               for r, c, cs in table[i][j]]
+    support = np.array([e[0] for e in entries], dtype=np.intp)
+    width = max((len(e[1]) for e in entries), default=1)
+    left, right, starts, out = _support_products(support, n, dim)
+    codes, at_p, at_q, at_cross = _relation_slots(out, n, dim)
+
+    big = max((abs(x) for _, cs in entries for x in cs), default=0)
+    group = int(np.diff(starts).max(initial=1))
+    dtype = np.int64 if 6 * group * big * big < 2 ** 63 else object
+    C = np.array([list(cs) + [0] * (width - len(cs))
+                  for _, cs in entries] + [[0] * width], dtype=dtype).T
+    G = np.add.reduceat(np.take(C, left, axis=1)[:, None]
+                        * np.take(C, right, axis=1)[None], starts, axis=2)
+    Gt = G.transpose(1, 0, 2)
+    lhs = np.take(G, at_p, axis=2) - np.take(Gt, at_q, axis=2)  # times u - v
+    R = np.zeros((width + 1, width + 1, len(codes)), dtype=dtype)
+    R[1:, :-1] += lhs
+    R[:-1, 1:] -= lhs
+    R[:-1, :-1] -= np.take(G, at_cross, axis=2)
+    R[:-1, :-1] += np.take(Gt, at_cross, axis=2)
+    return codes, R
 
 
 def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
@@ -453,20 +507,26 @@ def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
     Both sides, cleared of all denominators, are bivariate polynomials of
     degree at most 4m + 2 in each variable, so agreement on an integer grid
     with more than 4m + 2 distinct values per axis (off the poles) is an
-    exact proof.  The samples are those of action_table itself: its
-    integer entries evaluated at an integer w give den(w) * T(w), so no
-    value is divided.  Both sides are linear in T(u) and in T(v), so that
-    nonzero scale at each point leaves the relation unchanged.
+    exact proof.  The check reads action_table itself: its integer entries
+    are den(w) * T(w), and both sides are linear in T(u) and in T(v), so
+    that nonzero scale at each point leaves the relation unchanged.
 
     Only the products that can be nonzero are formed.  The support is read
-    from the table: an entry outside it is the zero polynomial, so it is
-    zero at every sample, and every product that leaves it out is zero.
-    Every product of two supported entries is still formed and summed, and
-    every position that one of the four terms reaches is tested; at the
-    others both sides are sums of zero products.  The support is small
-    because T_ab(u) moves the gl_n weight by e_a - e_b, but the check
-    does not rest on that.  Raises RelationViolated on the first failing
-    sample, naming the first failing (i,j,k,l) in lexicographic order.
+    from the table: an entry outside it is the zero polynomial, and every
+    product that leaves it out is zero.  Each product of two supported
+    entries is bilinear in their coefficients, so the products give, once
+    per call, the integer coefficient array R of the residual, (u - v)
+    times the commutator minus the right side, at every position one of
+    the four terms reaches (_residual_coefficients); at the others both
+    sides are sums of zero products.  Vandermonde matrix products
+    evaluate R at every grid pair, and every value is tested.  They take
+    the grid in blocks of at most _GRID_BLOCK values, so the working set
+    does not grow with samples, and run in int64 only when
+    max|R| sum_k |u|^k sum_l |v|^l < 2**63, which bounds every partial
+    sum.  The support is small because T_ab(u) moves the gl_n weight by
+    e_a - e_b, but the check does not rest on that.
+    Raises RelationViolated at the first failing (u, v) in row-major
+    order, naming the first failing (i,j,k,l) in lexicographic order.
     """
     need = 4 * spec.m + 3
     if samples is None:
@@ -478,44 +538,46 @@ def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
     us = _integer_samples(per_axis, poles, 1, 1)
     vs = _integer_samples(per_axis, poles, -1, -1)
 
-    n, dim = spec.n, spec.dim
-    _, table = action_table(spec)
-    entries = [(((i * n + j) * dim + r) * dim + c, cs)
-               for i in range(n) for j in range(n)
-               for r, c, cs in table[i][j]]
-    support = np.array([e[0] for e in entries], dtype=np.intp)
-    width = max((len(e[1]) for e in entries), default=1)
-    coeffs = np.array([list(cs) + [0] * (width - len(cs))
-                       for _, cs in entries] + [[0] * width], dtype=object)
-    left, right, starts, out = _support_products(support, n, dim)
-    codes, at_p, at_q, at_cross = _relation_slots(out, n, dim)
+    codes, R = _residual_coefficients(spec)
+    degrees = range(len(R))
 
-    def sample(w: int) -> tuple[np.ndarray, int]:
-        """den(w) * T(w) on the support, with the zero slot last, and its
-        largest absolute entry."""
-        vals = coeffs.dot(np.array([w ** k for k in range(width)],
-                                   dtype=object))
-        return vals, np.abs(vals).max()
+    def reach(ws: list[int]) -> int:
+        return sum(max(map(abs, ws)) ** k for k in degrees)
 
-    v_actions = [(v0, *sample(v0)) for v0 in vs]
-    for u0 in us:
-        X, bx = sample(u0)
-        for v0, Y, by in v_actions:
-            worst = 2 * abs(u0 - v0) * dim * bx * by
-            dtype = np.int64 if worst < 2 ** 62 else object
-            Xd, Yd = X.astype(dtype), Y.astype(dtype)
-            P = np.add.reduceat(Xd[left] * Yd[right], starts)
-            Q = np.add.reduceat(Yd[left] * Xd[right], starts)
-            # u - v >= 2, so |residual| <= worst + worst / 2 < 2**63
-            residual = ((u0 - v0) * (P[at_p] - Q[at_q])
-                        - (P[at_cross] - Q[at_cross]))
-            if residual.any():
-                bad = np.unravel_index(codes[np.flatnonzero(residual)[0]],
-                                       (n, n, n, n, dim, dim))
-                i, j, k, l = (int(b) + 1 for b in bad[:4])
+    peak = max(int(R.max(initial=0)), -int(R.min(initial=0)), 1)
+    dtype = np.int64 if peak * reach(us) * reach(vs) < 2 ** 63 else object
+    by_u = R.reshape(len(degrees), -1).astype(dtype, copy=False)
+
+    # powers_u[i, k] = us[i] ** k, and likewise for vs
+    powers_u, powers_v = (np.array([[w ** k for k in degrees] for w in ws],
+                                   dtype=dtype) for ws in (us, vs))
+
+    # Blocks are whole rows or, when a row is larger than _GRID_BLOCK
+    # (then rows is 1), pieces of one row, taken in row-major order, so
+    # the first failing block holds the first failing pair.  codes is
+    # empty only for a table with no nonzero entry (a corrupted one).
+    size = max(len(codes), 1)
+    cols = min(len(vs), max(1, _GRID_BLOCK // size))
+    rows = max(1, _GRID_BLOCK // (size * cols))
+    for top in range(0, len(us), rows):
+        block_u = us[top:top + rows]
+        # partial[i, l, s]: the coefficient of v^l at (block_u[i], codes[s])
+        partial = (powers_u[top:top + rows] @ by_u).reshape(
+            len(block_u), len(degrees), len(codes))
+        for first in range(0, len(vs), cols):
+            block_v = vs[first:first + cols]
+            # residual[i, j, s] at (block_u[i], block_v[j]) on codes[s]
+            residual = powers_v[first:first + cols] @ partial
+            failing = residual.any(axis=2)
+            if failing.any():
+                i, j = divmod(int(np.flatnonzero(failing)[0]), len(block_v))
+                at = np.flatnonzero(residual[i, j])[0]
+                bad = np.unravel_index(codes[at], (spec.n,) * 4
+                                       + (spec.dim,) * 2)
+                a, b, c, d = (int(x) + 1 for x in bad[:4])
                 raise RelationViolated(
-                    f"defining relation fails at (i,j,k,l)=({i},{j},{k},{l}),"
-                    f" u={u0}, v={v0} on {spec}")
+                    f"defining relation fails at (i,j,k,l)=({a},{b},{c},{d}),"
+                    f" u={block_u[i]}, v={block_v[j]} on {spec}")
     return RttReport(spec, len(us) * len(vs), 4 * spec.m + 2, True)
 
 

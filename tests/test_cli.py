@@ -1,6 +1,7 @@
 """Runner-level exercises of the command-line front end."""
 
 import argparse
+import errno
 import io
 import json
 import os
@@ -311,6 +312,25 @@ def test_verify_rtt_too_few_samples(capsys, monkeypatch):
     assert "samples" in err
 
 
+def test_verify_rtt_does_not_import_numpy_ma():
+    # np.unique and np.union1d can import numpy.ma, which costs a fresh
+    # process 13-20 ms; run in a child process, where nothing else has
+    # imported it yet
+    script = ("import sys\n"
+              "from ylab import cli\n"
+              "code = cli.main(['verify', '--suite', 'rtt', '--n', '2',"
+              " '--mu', '0,0', '--nu', '1,-1'])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, YLAB_CACHE="")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (os.path.dirname(os.path.dirname(cli.__file__)),
+                      env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
 def test_verify_desk_bounds(capsys, monkeypatch):
     code, _, _ = run(capsys, monkeypatch,
                      ["verify", "--suite", "lemma41", "--n", "3",
@@ -426,6 +446,28 @@ def test_cache_entry_that_is_a_directory(capsys, monkeypatch, tmp_path):
     assert_rejected(run(capsys, monkeypatch, argv))
     assert len(computed) == 1  # a miss that recomputes, then cannot store
     assert list(tmp_path.iterdir()) == [entry] and entry.is_dir()
+
+
+def test_cache_write_failure_only_warns(capsys, monkeypatch, tmp_path):
+    """A full (or read-only, or forbidden) cache disk is not invalid input:
+    the report is still written, with the job's own exit code."""
+    code, fresh, _ = run(capsys, monkeypatch, ["build"] + SPEC21)
+    assert code == 0
+
+    def full(directory, key, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "cache_put", full)
+    argv = ["build", "--cache-dir", str(tmp_path)] + SPEC21
+    code, out, err = run(capsys, monkeypatch, argv)
+    assert (code, out) == (0, fresh)
+    assert err.startswith("warning: cannot write the cache entry:")
+    assert err.count("\n") == 1 and os.strerror(errno.ENOSPC) in err
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, monkeypatch, argv + ["--out", str(target)])
+    assert (code, out) == (0, "") and err.count("\n") == 1
+    assert target.read_text(encoding="utf-8") == fresh
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_out_in_a_missing_directory_is_invalid(capsys, monkeypatch,

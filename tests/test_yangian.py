@@ -1,5 +1,6 @@
 """Standard modules: factor matrices, coproduct assembly, eigen data, RTT."""
 
+import functools
 import importlib
 import pkgutil
 from fractions import Fraction as F
@@ -319,9 +320,10 @@ def test_rtt_rejects_undersampling():
 def dense_rtt_check(spec, samples=None):
     """rtt_check's reference: every product of the dense tensors, by einsum.
 
-    Same table, laid out densely, same integer samples and the same
-    int64/object rule as rtt_check, but all n^2 dim^2 entries take part and
-    the relation is compared on the full (n, n, n, n, dim, dim) tensors.
+    Same table, laid out densely, and the same integer samples as
+    rtt_check, but all n^2 dim^2 entries take part, each grid pair is
+    sampled and compared on its own on the full (n, n, n, n, dim, dim)
+    tensors, and each pair picks int64 or object by its own bound.
     """
     need = 4 * spec.m + 3
     samples = need * need if samples is None else samples
@@ -365,10 +367,11 @@ def dense_rtt_check(spec, samples=None):
     return ya.RttReport(spec, len(us) * len(vs), 4 * spec.m + 2, True)
 
 
-def rtt_outcome(check, spec):
-    """The report of check(spec), or the text of the RelationViolated."""
+def rtt_outcome(check, spec, samples=None):
+    """The report of check(spec, samples), or the text of the
+    RelationViolated."""
     try:
-        return check(spec)
+        return check(spec, samples)
     except RelationViolated as exc:
         return str(exc)
 
@@ -419,6 +422,51 @@ def test_rtt_detects_corruption(monkeypatch):
                                                          spec)
 
 
+@pytest.mark.parametrize("block", [1, 300, 2000, ya._GRID_BLOCK])
+def test_rtt_grid_blocks(monkeypatch, block):
+    """Grid blocks of one pair, of 4 pairs of a row, of 2 rows and of the
+    whole grid (the module has 68 tested positions) give the dense
+    reference's outcome, on the table and on corrupted copies.  Adding
+    u^2 - 4 keeps the first pair (2, -2) clean, so the failure is named
+    further along its row.  Adding a multiple of every grid value but the
+    last v, -14, leaves only the pairs (u, -14) failing, and likewise for
+    the last u, 14, so a block left out would pass them."""
+    spec = ModuleSpec.make(2, (0, 1), (1, 1))
+    samples = 12 * 12 + 5     # 13 values per axis
+    assert len(ya._residual_coefficients(spec)[0]) == 68
+    monkeypatch.setattr(ya, "_GRID_BLOCK", block)
+    assert rtt_check(spec, samples) == dense_rtt_check(spec, samples)
+    us, vs = range(2, 15), range(-2, -15, -1)
+
+    def vanishing(roots):
+        late = functools.reduce(ya._iu_mul, ([-z, 1] for z in roots))
+        return lambda cs: ya._iu_add(cs, late)
+
+    changes = [change for _, change in CORRUPTIONS[:2]]
+    named = []
+    for change in changes + [lambda cs: ya._iu_add(cs, [-4, 0, 1]),
+                             vanishing([*us, *vs[:-1]]),
+                             vanishing([*us[:-1], *vs])]:
+        (r, c), *_ = cells(spec, 0, 1, True)
+        with monkeypatch.context() as patch:
+            corrupt(patch, spec, 0, 1, r, c, change)
+            outcome = rtt_outcome(rtt_check, spec, samples)
+            assert outcome == rtt_outcome(dense_rtt_check, spec, samples)
+            named.append(outcome.split(", ", 1)[1])
+    assert named[2:] == [f"u=2, v=-3 on {spec}", f"u=2, v=-14 on {spec}",
+                         f"u=14, v=-2 on {spec}"]
+
+
+def test_rtt_on_an_empty_table(monkeypatch):
+    """A table corrupted to no nonzero entry leaves no position to test;
+    the check still samples the whole grid and passes, as the dense
+    reference does."""
+    spec = ModuleSpec.make(1, (0,), (0,))
+    corrupt(monkeypatch, spec, 0, 0, 0, 0, lambda cs: ())
+    assert len(ya._residual_coefficients(spec)[0]) == 0
+    assert rtt_check(spec) == dense_rtt_check(spec)
+
+
 def test_rtt_object_dtype_path(monkeypatch):
     """Shift denominators near 10^9 push the sampled products past int64,
     so the check runs on Python integers; it still passes and still
@@ -431,6 +479,10 @@ def test_rtt_object_dtype_path(monkeypatch):
         return max(abs(sum(x * w ** k for k, x in enumerate(r))) for r in rows)
 
     assert peak(1) * peak(-1) >= 2 ** 62     # the first pair is past int64
+    # so is the bound 6 g c^2 on the coefficient arrays, as g >= 1
+    big = max(abs(x) for r in rows for x in r)
+    assert 6 * big * big >= 2 ** 63
+    assert ya._residual_coefficients(spec)[1].dtype == object
     assert rtt_check(spec).passed
     corrupt(monkeypatch, spec, 1, 0, *cells(spec, 1, 0, True)[0],
             lambda cs: (0, *cs))    # times u
@@ -658,8 +710,14 @@ small_spec_strategy = st.builds(
 @settings(max_examples=25, deadline=None)
 def test_rtt_matches_dense_reference(spec, data):
     """On the table and on one corrupted copy, rtt_check and the dense
-    einsum reference give the same report or the same failure text."""
+    einsum reference give the same report or the same failure text, on
+    the least grid and on two wider ones (need + 1 and need + 2 values per
+    axis, the second from a count that is not a square)."""
+    need = 4 * spec.m + 3
+    wider = (need * need + 1, need * need + 3 * need)
     assert rtt_check(spec) == dense_rtt_check(spec)
+    for samples in wider:
+        assert rtt_check(spec, samples) == dense_rtt_check(spec, samples)
     n, dim = spec.n, spec.dim
     a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     r, c = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
@@ -668,6 +726,9 @@ def test_rtt_matches_dense_reference(spec, data):
         corrupt(monkeypatch, spec, a, b, r, c, lambda cs: new)
         assert rtt_outcome(rtt_check, spec) == rtt_outcome(dense_rtt_check,
                                                            spec)
+        for samples in wider:
+            assert (rtt_outcome(rtt_check, spec, samples)
+                    == rtt_outcome(dense_rtt_check, spec, samples))
 
 
 @given(small_spec_strategy)
