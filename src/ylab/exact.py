@@ -91,10 +91,10 @@ class Poly:
     @classmethod
     def from_roots(cls, roots: Iterable[Scalar]) -> "Poly":
         """Monic product of (u - z) over the given multiset of roots."""
-        out = ONE
-        for z in roots:
-            out = out * cls((-Fraction(z), Fraction(1)))
-        return out
+        cs = [Fraction(1)]
+        for z in map(Fraction, roots):  # (u - z) sum c_k u^k
+            cs = [-z * cs[0]] + [a - z * b for a, b in zip(cs, cs[1:])] + [1]
+        return cls(cs)
 
     # -- structure -----------------------------------------------------------
 
@@ -385,6 +385,21 @@ class RatFun:
             den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def from_roots(cls, zeros: Iterable, poles: Iterable) -> "RatFun":
+        """prod (u - z) / prod (u - p) over two multisets of roots, reduced
+        by cancelling the shared roots (the gcd) without running poly_gcd."""
+        num, den = [], list(poles)
+        for z in zeros:
+            if z in den:
+                den.remove(z)
+            else:
+                num.append(z)
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", Poly.from_roots(num))
+        object.__setattr__(out, "den", Poly.from_roots(den))
+        return out
 
     @classmethod
     def of(cls, value) -> "RatFun":

@@ -8,18 +8,18 @@ sign -1 and realizes gl_m again.  On top of these sit the rational series
 
 with (A, B) = (E_ab, E_ba) for kind X and (E_ba, E_ab) for kind Y; the series
 truncates exactly at r = n because row degrees live in 0..n.  These maps are
-materialized as dense rational matrices on fixed-weight subspaces, which is
-the form the intertwiner assembly consumes.
+materialized on fixed-weight subspaces in integers, as (d, d * matrix) with d
+least, which is the form the intertwiner assembly consumes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
-from .exact import pochhammer
+from .exact import _cleared, pochhammer
 from .grassmann import Grassmann, GrassmannElt
 
 
@@ -64,17 +64,31 @@ def mat_mul(a, b) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class LinearMap:
     """Dense rational matrix between two enumerated weight bases.
 
     matrix[r][c] is the coefficient of codomain basis vector r in the image
-    of domain basis vector c, so vectors multiply on the right.
+    of domain basis vector c, so vectors multiply on the right.  A map made
+    in integers holds cleared = (d, d * matrix) with d least and builds
+    matrix from it when it is first read.  Immutable by convention.
     """
 
-    domain: tuple[int, ...]
-    codomain: tuple[int, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
+    def __init__(self, domain, codomain, matrix=None, cleared=None):
+        self.domain, self.codomain = domain, codomain
+        if cleared is None:
+            self.matrix = matrix
+        else:
+            self.cleared = cleared
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        d, rows = self.cleared
+        return tuple(tuple(Fraction(x, d) for x in row) for row in rows)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LinearMap) and (
+            (self.domain, self.codomain, self.matrix)
+            == (other.domain, other.codomain, other.matrix))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -94,12 +108,15 @@ class LinearMap:
 def operator_matrix(G: Grassmann,
                     op: Callable[[GrassmannElt], GrassmannElt],
                     domain_nu: Sequence[int],
-                    codomain_nu: Optional[Sequence[int]] = None) -> LinearMap:
-    """Materialize an operator as a matrix between weight bases.
+                    codomain_nu: Optional[Sequence[int]] = None,
+                    den: int = 1) -> LinearMap:
+    """Materialize op / den as a matrix between weight bases, in integers.
 
-    The codomain weight defaults to the domain weight.  Every image term must
-    land in the declared codomain weight space; anything else raises, which is
-    how weight bookkeeping errors surface instead of being silently dropped.
+    op runs on each basis monomial with the coefficient 1, so an op made of
+    Grassmann kernel steps stays in integers.  The codomain weight defaults
+    to the domain weight.  Every image term must land in the declared
+    codomain weight space; anything else raises, which is how weight
+    bookkeeping errors surface instead of being silently dropped.
     """
     domain_nu = tuple(domain_nu)
     codomain_nu = domain_nu if codomain_nu is None else tuple(codomain_nu)
@@ -108,18 +125,18 @@ def operator_matrix(G: Grassmann,
     index = {mask: r for r, mask in enumerate(cod)}
     cols = []
     for mask in dom:
-        image = op(GrassmannElt(G, {mask: Fraction(1)}))
-        col = [Fraction(0)] * len(cod)
-        for mono, c in image.terms.items():
+        col = [0] * len(cod)
+        for mono, c in op(GrassmannElt(G, {mask: 1})).terms.items():
             if mono not in index:
                 raise ValueError(
                     f"image monomial of weight {G.weight_of(mono)} escapes the "
                     f"declared codomain weight {codomain_nu}")
             col[index[mono]] = c
         cols.append(col)
-    rows = tuple(tuple(cols[c][r] for c in range(len(dom)))
-                 for r in range(len(cod)))
-    return LinearMap(domain_nu, codomain_nu, rows)
+    d, rows = _cleared(list(zip(*cols)))
+    g = math.gcd(d * den, *(x for row in rows for x in row))
+    return LinearMap(domain_nu, codomain_nu, cleared=(
+        d * den // g, tuple(tuple(x // g for x in row) for row in rows)))
 
 
 def XY_op(G: Grassmann, kind: str, w: Sequence, a: int, b: int,
@@ -132,6 +149,12 @@ def XY_op(G: Grassmann, kind: str, w: Sequence, a: int, b: int,
     eps when they are given.
     Requires w_a - w_b not to be a negative integer (series denominators
     (w_a - w_b + 1)_r must not vanish).
+
+    The map is built in integers: with den the least common denominator of
+    the coefficients c_r = (-1)^r / (r! (w_a - w_b + 1)_r), the row
+    operators run on each basis monomial with coefficient 1, giving the
+    columns of the integer matrices M_r = B^r A^r, and
+    den + sum_r (den c_r) M_r is den times the map.
     """
     if not (1 <= a < b <= G.m):
         raise ValueError(f"need 1 <= a < b <= m, got ({a}, {b})")
@@ -144,22 +167,23 @@ def XY_op(G: Grassmann, kind: str, w: Sequence, a: int, b: int,
 
     row = E_op if eps is None else partial(EE_op, eps)
     i, j = (a, b) if kind == "X" else (b, a)  # A = E_ij, B = E_ji
+    coeffs = [Fraction((-1) ** r) / (pochhammer(1, r) * pochhammer(c + 1, r))
+              for r in range(1, G.n + 1)]
+    den = math.lcm(*(x.denominator for x in coeffs))
+    scaled = [x.numerator * (den // x.denominator) for x in coeffs]
 
     def series(x: GrassmannElt) -> GrassmannElt:
-        out = x
+        out = {mono: den * v for mono, v in x.terms.items()}
         arx = x
-        for r in range(1, G.n + 1):
+        for r, k in enumerate(scaled, start=1):
             arx = row(i, j, arx)  # A^r x, built incrementally
             if arx.is_zero():
                 break
             term = arx
             for _ in range(r):
                 term = row(j, i, term)  # B^r A^r x
-            if term.is_zero():
-                continue
-            coeff = Fraction((-1) ** r, 1) / (
-                pochhammer(1, r) * pochhammer(c + 1, r))
-            out = out + term.scale(coeff)
-        return out
+            for mono, v in term.terms.items():
+                out[mono] = out.get(mono, 0) + k * v
+        return GrassmannElt(G, out)
 
-    return operator_matrix(G, series, nu)
+    return operator_matrix(G, series, nu, den=den)

@@ -11,7 +11,9 @@ correspondence between a tensor product of exterior-power basis vectors and
 a product of row blocks carries coefficient +1, so no sign bookkeeping leaks
 into the encoding.  All signs reduce to popcounts of masked bit prefixes.
 
-Elements are sparse maps {monomial bitset: rational coefficient}.
+Elements are sparse maps {monomial bitset: rational coefficient}.  An int
+coefficient stays an int, so work that starts from integer coefficients
+stays in integers.
 """
 
 from __future__ import annotations
@@ -91,9 +93,10 @@ class GrassmannElt:
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: "Grassmann", terms: Mapping[int, Fraction]):
+    def __init__(self, algebra: "Grassmann", terms: Mapping[int, Scalar]):
         self.algebra = algebra
-        self.terms = {mono: Fraction(c) for mono, c in terms.items() if c != 0}
+        self.terms = {mono: c if type(c) in (int, Fraction) else Fraction(c)
+                      for mono, c in terms.items() if c != 0}
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -238,14 +238,14 @@ class _RootFactors(dict):
                 op = XY_op(G, "X", spec.lambar, a, b, weight, eps=eps)
             else:
                 op = XY_op(G, "Y", spec.mu, a, b, weight, eps=eps)
-        self[pair] = cleared = _cleared(op.matrix)
-        return cleared
+        self[pair] = op.cleared
+        return op.cleared
 
 
 def _word_products(factors: _RootFactors, orders):
     """Yield (s, R f_1 ... f_k) per pair sequence orders[s], in integers,
     walking them in sorted order with a stack of prefix products."""
-    stack, last = [tuple(map(tuple, factors[None][1]))], ()  # as mat_mul gives
+    stack, last = [factors[None][1]], ()
     for pairs, s in sorted(zip(orders, itertools.count())):
         k = next((t for t, pair in enumerate(last) if pair != pairs[t]), 0)
         del stack[k + 1:]  # keep R and the products of the shared prefix

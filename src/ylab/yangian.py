@@ -375,13 +375,10 @@ def eigen_series(spec: ModuleSpec, i: int) -> RatFun:
 
 def _integer_samples(count: int, forbidden: set[Fraction], start: int,
                      step: int) -> list[int]:
-    out = []
-    t = start
-    while len(out) < count:
-        if Fraction(t) not in forbidden:
-            out.append(t)
-        t += step
-    return out
+    """The first count of start, start + step, ... not in forbidden."""
+    poles = {z.numerator for z in forbidden if z.denominator == 1}
+    return list(itertools.islice((t for t in itertools.count(start, step)
+                                  if t not in poles), count))
 
 
 # Grid values, pairs times tested positions, that rtt_check evaluates at once.
@@ -693,19 +690,15 @@ def eigen_candidates(spec: ModuleSpec) -> dict[RatFun, tuple]:
     """All product-form diagonal eigenvalue candidates, keyed by value."""
     pos = [a for a in range(spec.m) if spec.nu[a] >= 0]
     neg = [a for a in range(spec.m) if spec.nu[a] < 0]
+    mu = spec.mu
     cands: dict[RatFun, tuple] = {}
     for ksub in range(len(pos) + 1):
         for I in itertools.combinations(pos, ksub):
-            gi_num, gi_den = ONE, ONE
-            for a in I:
-                gi_num, gi_den = gi_num * linear(spec.mu[a] - 1), gi_den * linear(spec.mu[a])
             for lsub in range(len(neg) + 1):
                 for J in itertools.combinations(neg, lsub):
-                    num, den = gi_num, gi_den
-                    for a in J:
-                        num, den = num * linear(spec.mu[a]), den * linear(spec.mu[a] - 1)
-                    g = RatFun(num, den)
-                    cands.setdefault(g, (I, J))
+                    zeros = [mu[a] - 1 for a in I] + [mu[a] for a in J]
+                    poles = [mu[a] for a in I] + [mu[a] - 1 for a in J]
+                    cands.setdefault(RatFun.from_roots(zeros, poles), (I, J))
     return cands
 
 
