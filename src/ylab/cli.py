@@ -32,7 +32,7 @@ from .intertwiner import (NotDominant, NotReduced, ReducedWord,
                           is_dominant, word_independence_check)
 from .jsonio import MalformedInput
 from .yangian import (ModuleSpec, eigen_closed, eigen_series, eigenform_check,
-                      highest_vector, rtt_check)
+                      rtt_check)
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -189,9 +189,7 @@ def cmd_intertwine(spec: ModuleSpec,
                    word: Optional[ReducedWord]) -> tuple[int, dict]:
     inter = build_I(spec, word)
     rank = len(_column_echelon(inter.matrix)[1])
-    col = inter.column(highest_vector(spec).index)
-    want = highest_vector(inter.target_spec).index
-    hv_ok = all(col[r] == (1 if r == want else 0) for r in range(inter.dim))
+    hv_ok = inter.hv_scale() == 1
     doc = jsonio.intertwiner_obj(inter, rank)
     doc.update({
         "command": "intertwine",

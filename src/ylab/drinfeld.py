@@ -122,18 +122,6 @@ def solve_shift_quotient(ratfun: RatFun, mode: str):
 
 # ------------------------------------------------------------ module -> data
 
-def _cancel_common(num_roots: list[Fraction],
-                   den_roots: list[Fraction]) -> tuple[list, list]:
-    num_left = list(num_roots)
-    den_left = []
-    for z in den_roots:
-        if z in num_left:
-            num_left.remove(z)
-        else:
-            den_left.append(z)
-    return num_left, den_left
-
-
 def data_of_module(spec: ModuleSpec) -> DrinfeldData:
     """Classification data of the standard module, computed two ways.
 
@@ -146,11 +134,9 @@ def data_of_module(spec: ModuleSpec) -> DrinfeldData:
     for i in range(1, n):
         roots = [z for z, d in zip(spec.mu, spec.nu) if d == i or d == i - n]
         p_list.append(Poly.from_roots(sorted(roots)))
-    num_roots = sorted(z for z, d in zip(spec.mu, spec.nu) if d == n)
-    den_roots = sorted(z for z, d in zip(spec.mu, spec.nu) if d < 0)
-    num_roots, den_roots = _cancel_common(num_roots, den_roots)
-    closed = DrinfeldData(tuple(p_list), Poly.from_roots(num_roots),
-                          Poly.from_roots(den_roots))
+    qn = RatFun.from_roots((z for z, d in zip(spec.mu, spec.nu) if d == n),
+                           (z for z, d in zip(spec.mu, spec.nu) if d < 0))
+    closed = DrinfeldData(tuple(p_list), qn.num, qn.den)
 
     series = [eigen_series(spec, i) for i in range(1, n + 1)]
     for i in range(1, n):

@@ -19,7 +19,7 @@ from .exact import q
 from .glmops import LinearMap, operator_matrix
 from .grassmann import DimensionMismatch, Grassmann, GrassmannElt, perm_longest
 from .intertwiner import Intertwiner, _module_matrix, build_I, check_dominant
-from .yangian import ModuleSpec, highest_vector
+from .yangian import ModuleSpec
 
 
 class CompositeMismatch(ArithmeticError):
@@ -210,15 +210,6 @@ def _parity_sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def _assert_hv_scales(inter: Intertwiner, sign: int, label: str) -> None:
-    dim = inter.dim
-    col = inter.column(highest_vector(inter.spec).index)
-    want = highest_vector(inter.target_spec).index
-    if any(col[r] != (sign if r == want else 0) for r in range(dim)):
-        raise CompositeMismatch(
-            f"{label} does not scale the distinguished vector by {sign}")
-
-
 def composite_check(spec: ModuleSpec) -> CompositeReport:
     """Rebuild the mixed-sign canonical operator from the plain one.
 
@@ -252,7 +243,11 @@ def composite_check(spec: ModuleSpec) -> CompositeReport:
         raise CompositeMismatch(
             f"conjugated operator is not {sign:+d} times the direct one "
             f"on {spec}")
-    _assert_hv_scales(forward, fwd_sign, "forward complementation")
-    _assert_hv_scales(back, rev_sign, "reversed complementation")
-    _assert_hv_scales(plain, 1, "plain canonical operator")
+    for inter, scale, label in (
+            (forward, fwd_sign, "forward complementation"),
+            (back, rev_sign, "reversed complementation"),
+            (plain, 1, "plain canonical operator")):
+        if inter.hv_scale() != scale:
+            raise CompositeMismatch(
+                f"{label} does not scale the distinguished vector by {scale}")
     return CompositeReport(spec, cnt, sign, fwd_sign, rev_sign, True)

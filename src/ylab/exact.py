@@ -8,7 +8,11 @@ reduced, positive denominator, arbitrary precision).  This module adds:
                  coefficients stored lowest degree first,
   * `RatFun`  -- reduced rational functions num/den with monic denominator,
   * `pochhammer`, `factor_linear` -- the scalar utilities the
-                 representation-theoretic layers need.
+                 representation-theoretic layers need,
+  * `_iu_*`, `_it_*` -- one kernel for Z[u] (int lists, lowest degree first,
+                 no trailing zeros, [] is zero) and Z[u][t] (lists of those,
+                 low t first), which the module table, the characteristic
+                 polynomials, intertwine_check and Poly's +, -, * share.
 
 No floating point is used anywhere; equality is always structural equality of
 canonical forms.
@@ -53,6 +57,101 @@ def q_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+# ---------------------------------------------------------------------------
+# integer polynomials: Z[u] and Z[u][t]
+# ---------------------------------------------------------------------------
+
+
+def _iu_trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _iu_mul(a: Sequence, b: Sequence) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _iu_trim(out)
+
+
+def _iu_add(a: Sequence, b: Sequence) -> list:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] += y
+    return _iu_trim(out)
+
+
+def _iu_sub(a: Sequence, b: Sequence) -> list:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _iu_trim(out)
+
+
+def _iu_div(a: list[int], b: list[int]) -> list[int]:
+    """Exact division in Z[u]; the quotient is promised to be integral."""
+    if not a:
+        return []
+    rem = list(a)
+    out = [0] * (len(a) - len(b) + 1)
+    lead = b[-1]
+    for k in range(len(out) - 1, -1, -1):
+        c, frac = divmod(rem[k + len(b) - 1], lead)
+        if frac:
+            raise ArithmeticError("inexact division in characteristic"
+                                  " polynomial")
+        out[k] = c
+        if c:
+            for i, y in enumerate(b):
+                rem[k + i] -= c * y
+    if any(rem[: len(b) - 1]):
+        raise ArithmeticError("inexact division in characteristic polynomial")
+    return _iu_trim(out)
+
+
+def _it_mul(a, b):
+    out = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = _iu_add(out[i + j], _iu_mul(x, y))
+    return out
+
+
+def _it_sub(a, b):
+    size = max(len(a), len(b))
+    out = [_iu_sub(a[i] if i < len(a) else [], b[i] if i < len(b) else [])
+           for i in range(size)]
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return out
+
+
+def _it_div(a, b):
+    """Exact division of t-polynomials with Z[u] coefficients."""
+    if not any(a):
+        return [[]]
+    if len(b) == 1:
+        return [_iu_div(x, b[0]) if x else [] for x in a]
+    a = list(a)
+    out = [[] for _ in range(len(a) - len(b) + 1)]
+    for k in range(len(out) - 1, -1, -1):
+        c = _iu_div(a[k + len(b) - 1], b[-1])
+        out[k] = c
+        if c:
+            for i, y in enumerate(b):
+                a[k + i] = _iu_sub(a[k + i], _iu_mul(c, y))
+    if any(a[i] for i in range(len(b) - 1)):
+        raise ArithmeticError("inexact division in characteristic polynomial")
+    return out
 
 
 def pochhammer(x: Scalar, r: int) -> Fraction:
@@ -158,13 +257,7 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return Poly(_iu_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -175,7 +268,7 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return Poly(_iu_sub(self.coeffs, other.coeffs))
 
     def __rsub__(self, other) -> "Poly":
         return -(self - other)
@@ -187,15 +280,7 @@ class Poly:
             return Poly(c * other for c in self.coeffs)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(out)
+        return Poly(_iu_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

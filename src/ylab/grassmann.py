@@ -328,10 +328,3 @@ class Grassmann:
                 mono |= 1 << self.slot(a, j)
                 prev = j
         return mono
-
-    def alpha_decode(self, mono: int) -> tuple[tuple[int, ...], ...]:
-        """Inverse of alpha_encode: per-row strictly increasing column tuples."""
-        rows: list[list[int]] = [[] for _ in range(self.m)]
-        for a, i in self.slots_of(mono):
-            rows[a - 1].append(i)
-        return tuple(tuple(r) for r in rows)

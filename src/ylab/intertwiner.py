@@ -21,12 +21,11 @@ from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
-from .exact import _cleared
+from .exact import _cleared, _iu_add, _iu_mul, _iu_sub
 from .glmops import XY_op, mat_mul, operator_matrix
 from .grassmann import (Grassmann, perm_apply, perm_compose, perm_identity,
                         perm_inverse, perm_longest, perm_transposition)
-from .yangian import (ModuleSpec, _iu_add, _iu_mul, _iu_sub, action_table,
-                      highest_vector, wedge_basis)
+from .yangian import ModuleSpec, action_table, highest_vector, wedge_basis
 
 
 class NotReduced(ValueError):
@@ -189,6 +188,15 @@ class Intertwiner:
         mat = mat_mul(self.matrix, other.matrix)
         return Intertwiner(other.spec, self.target_spec, mat)
 
+    def hv_scale(self) -> Optional[Fraction]:
+        """v when the operator sends the distinguished vector xi of spec to
+        v xi', xi' that of target_spec; None when xi's image is off C xi'."""
+        col = self.column(highest_vector(self.spec).index)
+        hv = highest_vector(self.target_spec).index
+        if any(x for r, x in enumerate(col) if r != hv):
+            return None
+        return col[hv]
+
 
 def check_dominant(spec: ModuleSpec) -> None:
     """Raise NotDominant unless lambda-bar avoids differences in -1, -2, ..."""
@@ -269,9 +277,7 @@ def _assemble(factors: _RootFactors, orders) -> tuple[Intertwiner, int]:
     target = spec.permuted(perm_longest(spec.m))
     out = Intertwiner(spec, target, _module_matrix(
         spec, target, ranked[0], -den if n_exp % 2 else den))
-    hv = highest_vector(target).index
-    if out.column(highest_vector(spec).index) != tuple(
-            int(r == hv) for r in range(spec.dim)):
+    if out.hv_scale() != 1:
         raise ArithmeticError(
             "construction failed to normalize the distinguished vector")
     return out, first[ranked[1]] if len(ranked) > 1 else 0
@@ -327,59 +333,6 @@ def elementary(kind: str, spec: ModuleSpec, a: int) -> Intertwiner:
     target = spec.permuted(sig)
     return Intertwiner(spec, target, _module_matrix(
         spec, target, swap.compose(factor).matrix))
-
-
-def compose_elementary(spec: ModuleSpec,
-                       word: Optional[ReducedWord] = None) -> Intertwiner:
-    """The bare chain of elementary swaps along the word.
-
-    At each stage the swap uses the I form when the degrees at the swapped
-    positions are in weakly decreasing order and the J form otherwise,
-    mirroring the branch rule of the one-shot construction.  The chain equals
-    the canonical operator times (-1)^N where N is the sum of degree products
-    over pairs; see elementary_composition_check.
-    """
-    if any(d < 0 for d in spec.nu):
-        raise ValueError("elementary composition requires all degrees >= 0")
-    if word is None:
-        word = default_word(spec.m)
-    check_dominant(spec)
-    suffix = perm_identity(spec.m)
-    stages = []
-    for a in reversed(word.letters):
-        stages.append((a, suffix))
-        suffix = perm_compose(perm_transposition(spec.m, a), suffix)
-    total: Optional[Intertwiner] = None
-    for a, sig in stages:  # rightmost letter first
-        current = spec.permuted(sig)
-        kind = "I_a" if current.nu[a - 1] >= current.nu[a] else "J_a"
-        step = elementary(kind, current, a)
-        total = step if total is None else step.compose(total)
-    if total is None:  # m == 1
-        ident = tuple(tuple(Fraction(1 if r == c else 0)
-                            for c in range(spec.dim)) for r in range(spec.dim))
-        return Intertwiner(spec, spec, ident)
-    return total
-
-
-def elementary_composition_check(spec: ModuleSpec,
-                                 word: Optional[ReducedWord] = None) -> bool:
-    """Assert the one-shot operator is (-1)^N times the elementary chain.
-
-    The canonical operator normalizes the distinguished vector, which costs
-    the global sign relative to the unnormalized chain of swaps; everything
-    else about the two constructions must agree exactly.
-    """
-    one_shot = build_I(spec, word)
-    chain = compose_elementary(spec, word)
-    n_exp = sum(spec.nu[a] * spec.nu[b]
-                for a in range(spec.m) for b in range(a + 1, spec.m))
-    sign = -1 if n_exp % 2 else 1
-    expect = tuple(tuple(sign * v for v in row) for row in chain.matrix)
-    if one_shot.matrix != expect:
-        raise WordDependenceViolated(
-            f"elementary chain disagrees with the one-shot operator on {spec}")
-    return True
 
 
 # ------------------------------------------------------------------- checking

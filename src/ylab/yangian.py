@@ -27,7 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import ONE, ZERO, Poly, RatFun, _cleared, linear, q
+from .exact import (ONE, ZERO, Poly, RatFun, _cleared, _it_div, _it_mul,
+                    _it_sub, _iu_add, _iu_mul, linear, q)
 from .grassmann import perm_apply
 
 
@@ -113,38 +114,6 @@ class ModuleSpec:
         for z in self.mu:
             out = out * linear(z) * linear(z - 1)
         return out
-
-
-# ------------------------------------------------------ integer polynomials
-
-# Polynomials in u with integer coefficients are plain int sequences, lowest
-# degree first with no trailing zeros; the empty sequence is zero.
-
-def _iu_trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _iu_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _iu_trim(out)
-
-
-def _iu_add(a: list[int], b: list[int]) -> list[int]:
-    pairs = itertools.zip_longest(a, b, fillvalue=0)
-    return _iu_trim([x + y for x, y in pairs])
-
-
-def _iu_sub(a: list[int], b: list[int]) -> list[int]:
-    pairs = itertools.zip_longest(a, b, fillvalue=0)
-    return _iu_trim([x - y for x, y in pairs])
 
 
 # ------------------------------------------------- one exterior-power factor
@@ -335,13 +304,10 @@ def highest_vector(spec: ModuleSpec) -> HighestVector:
 
 def eigen_closed(spec: ModuleSpec, i: int) -> RatFun:
     """Closed product form of the i-th diagonal eigenvalue on the vector."""
-    num, den = ONE, ONE
-    for z, d in zip(spec.mu, spec.nu):
-        if d >= i:
-            num, den = num * linear(z - 1), den * linear(z)
-        if d < i - spec.n:
-            num, den = num * linear(z), den * linear(z - 1)
-    return RatFun(num, den)
+    pos = [z for z, d in zip(spec.mu, spec.nu) if d >= i]
+    neg = [z for z, d in zip(spec.mu, spec.nu) if d < i - spec.n]
+    return RatFun.from_roots([z - 1 for z in pos] + neg,
+                             pos + [z - 1 for z in neg])
 
 
 def eigen_series(spec: ModuleSpec, i: int) -> RatFun:
@@ -580,70 +546,9 @@ def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
 
 # ----------------------------------------- product-form eigenvalue spectrum
 
-# Bivariate polynomials for the characteristic polynomial and its split:
-# u-polynomials are integer lists as above and t-polynomials are lists of
-# those.  The table is in integers already and the candidate roots are
-# cleared to integers up front, so elimination, root tests and deflation
-# never touch Fraction or gcd reduction.
-
-def _iu_div(a: list[int], b: list[int]) -> list[int]:
-    """Exact division in Z[u]; the quotient is promised to be integral."""
-    if not a:
-        return []
-    rem = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    for k in range(len(out) - 1, -1, -1):
-        c, frac = divmod(rem[k + len(b) - 1], lead)
-        if frac:
-            raise ArithmeticError("inexact division in characteristic"
-                                  " polynomial")
-        out[k] = c
-        if c:
-            for i, y in enumerate(b):
-                rem[k + i] -= c * y
-    if any(rem[: len(b) - 1]):
-        raise ArithmeticError("inexact division in characteristic polynomial")
-    return _iu_trim(out)
-
-
-def _it_mul(a, b):
-    out = [[] for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = _iu_add(out[i + j], _iu_mul(x, y))
-    return out
-
-
-def _it_sub(a, b):
-    size = max(len(a), len(b))
-    out = [_iu_sub(a[i] if i < len(a) else [], b[i] if i < len(b) else [])
-           for i in range(size)]
-    while len(out) > 1 and not out[-1]:
-        out.pop()
-    return out
-
-
-def _it_div(a, b):
-    """Exact division of t-polynomials with Z[u] coefficients."""
-    if not any(a):
-        return [[]]
-    if len(b) == 1:
-        return [_iu_div(x, b[0]) if x else [] for x in a]
-    a = list(a)
-    out = [[] for _ in range(len(a) - len(b) + 1)]
-    for k in range(len(out) - 1, -1, -1):
-        c = _iu_div(a[k + len(b) - 1], b[-1])
-        out[k] = c
-        if c:
-            for i, y in enumerate(b):
-                a[k + i] = _iu_sub(a[k + i], _iu_mul(c, y))
-    if any(a[i] for i in range(len(b) - 1)):
-        raise ArithmeticError("inexact division in characteristic polynomial")
-    return out
-
+# The characteristic polynomial and its split run on exact's Z[u][t] kernel:
+# the table and the cleared candidate roots are integers, so elimination,
+# root tests and deflation never touch Fraction or gcd reduction.
 
 def _char_poly_in_t(entries: dict, den, dim: int) -> list[list[int]]:
     """det(t - A/den) up to a nonzero scalar, in Z[u][t], low t first.

@@ -208,6 +208,7 @@ def test_alpha_roundtrip_exhaustive():
     basis = G.basis_of_weight(nu)
     assert len(basis) == 27
     for mask in basis:
-        tuples = G.alpha_decode(mask)
+        tuples = tuple(tuple(i for a, i in G.slots_of(mask) if a == row)
+                       for row in range(1, G.m + 1))
         assert G.alpha_encode(tuples) == mask
         assert tuple(len(t) for t in tuples) == nu

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 import ylab.intertwiner as itw
 from reference_coproduct import reference_table
-from ylab.battery import dominant_battery, word_battery
-from ylab.duality import dual_iso
+from reference_elementary import (compose_elementary,
+                                  elementary_composition_check)
+from ylab.battery import KERNEL_SPEC, dominant_battery, word_battery
+from ylab.duality import dual_iso, hv_flip_exponent
 from ylab.exact import _cleared
 from ylab.glmops import XY_op, mat_mul, operator_matrix
 from ylab.grassmann import Grassmann, perm_apply, perm_longest
@@ -18,8 +20,7 @@ from ylab.intertwiner import (Intertwiner, IntertwiningViolated, NotDominant,
                               NotReduced, ReducedWord,
                               WordDependenceViolated, WordReport,
                               all_reduced_words, build_I, check_dominant,
-                              compose_elementary, default_word, elementary,
-                              elementary_composition_check, image_analysis,
+                              default_word, elementary, image_analysis,
                               intertwine_check, laurent_tail_matrices,
                               root_order, word_independence_check)
 from ylab.yangian import ModuleSpec, action_table, highest_vector
@@ -130,6 +131,42 @@ def test_build_normalizes_distinguished_vector():
         col = inter.column(hv_s.index)
         assert col[hv_t.index] == 1
         assert sum(1 for v in col if v) == 1
+
+
+def _zero_operator(spec):
+    inter = build_I(spec)
+    return Intertwiner(spec, inter.target_spec,
+                       tuple((F(0),) * spec.dim for _ in range(spec.dim)))
+
+
+def _off_line_operator(spec):
+    # the operator with xi's column also reaching a row other than that of
+    # the target's distinguished vector
+    inter = build_I(spec)
+    hv_s = highest_vector(spec).index
+    hv_t = highest_vector(inter.target_spec).index
+    rows = [list(row) for row in inter.matrix]
+    rows[(hv_t + 1) % spec.dim][hv_s] = F(1, 3)
+    return Intertwiner(spec, inter.target_spec, tuple(map(tuple, rows)))
+
+
+MIXED_HV_SPEC = spec_of(3, (0, 0), (-1, 1))
+
+
+@pytest.mark.parametrize("make,want", [
+    (lambda: build_I(spec_of(2, (0, F(1, 2)), (2, 1))), 1),
+    (lambda: build_I(spec_of(3, (0, -2), (1, -1))), 1),
+    (lambda: build_I(spec_of(2, (1, F(1, 2), 0), (1, -1, 1))), 1),
+    (lambda: build_I(KERNEL_SPEC), 1),
+    (lambda: dual_iso(MIXED_HV_SPEC),
+     (-1) ** hv_flip_exponent(MIXED_HV_SPEC)),
+    (lambda: _zero_operator(spec_of(2, (0, 0), (1, 1))), 0),
+    (lambda: _off_line_operator(spec_of(2, (0, 0), (1, 1))), None),
+], ids=["dominant", "odd-n", "three-factor", "kernel-spec", "dual-iso",
+        "zero", "off-line"])
+def test_hv_scale(make, want):
+    scale = make().hv_scale()
+    assert scale == want and (scale is None) == (want is None)
 
 
 def test_build_rejects_mismatched_word():

@@ -1,14 +1,19 @@
 """The benchmark wraps and clears ylab functions by name; every name it
 holds must resolve, or only the traced benchmark run would notice a rename.
+Its own tests also rebuild an `Intertwiner` with `dataclasses.replace`.
 
 The names are read from the benchmark's source with ``ast``, without
 importing it."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
+
+from ylab.battery import KERNEL_SPEC
+from ylab.intertwiner import build_I
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -70,3 +75,15 @@ def test_traced_name_resolves(name):
 @pytest.mark.parametrize("name", _memo_names())
 def test_memo_table_name_resolves(name):
     assert callable(_resolve(name).cache_clear)
+
+
+def test_intertwiner_is_rebuilt_by_dataclasses_replace():
+    inter = build_I(KERNEL_SPEC)
+    rows = [list(row) for row in inter.matrix]
+    rows[1][2] += 1
+    rows = tuple(map(tuple, rows))
+    wrong = dataclasses.replace(inter, matrix=rows)
+    assert wrong.matrix == rows and wrong.matrix != inter.matrix
+    assert wrong.spec == inter.spec == KERNEL_SPEC
+    assert wrong.target_spec == inter.target_spec
+    assert wrong.dim == inter.dim == 4

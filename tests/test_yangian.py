@@ -17,7 +17,8 @@ import ylab.yangian as ya
 from reference_coproduct import (cleared, reference_action, reference_factor,
                                  reference_table)
 from ylab.battery import dominant_battery, mixed_battery, rtt_battery
-from ylab.exact import ONE, ZERO, Poly, RatFun, linear
+from ylab.exact import (ONE, ZERO, Poly, RatFun, _it_div, _iu_add, _iu_mul,
+                        linear)
 from ylab.grassmann import Grassmann
 from ylab.yangian import (ActionMatrix, ModuleSpec, NoCandidateFactorization,
                           RelationViolated, eigen_closed, eigen_series,
@@ -400,7 +401,7 @@ def cells(spec, a, b, nonzero):
 
 
 CORRUPTIONS = [
-    (True, lambda cs: ya._iu_add(cs, [1])),   # a supported entry changes
+    (True, lambda cs: _iu_add(cs, [1])),      # a supported entry changes
     (True, lambda cs: ()),                    # a nonzero entry leaves
     (False, lambda cs: (2, 1)),               # a zero entry joins, as u + 2
 ]
@@ -439,12 +440,12 @@ def test_rtt_grid_blocks(monkeypatch, block):
     us, vs = range(2, 15), range(-2, -15, -1)
 
     def vanishing(roots):
-        late = functools.reduce(ya._iu_mul, ([-z, 1] for z in roots))
-        return lambda cs: ya._iu_add(cs, late)
+        late = functools.reduce(_iu_mul, ([-z, 1] for z in roots))
+        return lambda cs: _iu_add(cs, late)
 
     changes = [change for _, change in CORRUPTIONS[:2]]
     named = []
-    for change in changes + [lambda cs: ya._iu_add(cs, [-4, 0, 1]),
+    for change in changes + [lambda cs: _iu_add(cs, [-4, 0, 1]),
                              vanishing([*us, *vs[:-1]]),
                              vanishing([*us[:-1], *vs])]:
         (r, c), *_ = cells(spec, 0, 1, True)
@@ -559,11 +560,11 @@ def dense_eigenform_check(spec):
             while len(char) > 1:
                 val, dpow = char[-1], [1]
                 for c in reversed(char[:-1]):
-                    dpow = ya._iu_mul(dpow, D)
-                    val = ya._iu_add(ya._iu_mul(val, N), ya._iu_mul(c, dpow))
+                    dpow = _iu_mul(dpow, D)
+                    val = _iu_add(_iu_mul(val, N), _iu_mul(c, dpow))
                 if val:
                     break
-                char = ya._it_div(char, [[-x for x in N], D])
+                char = _it_div(char, [[-x for x in N], D])
                 mult += 1
             if mult:
                 counts.append((label[0], label[1], mult))
