@@ -106,7 +106,9 @@ def criterion_1() -> CriterionResult:
 
 
 def criterion_2() -> CriterionResult:
-    """Defining-relation sampling certificate over the battery."""
+    """The defining relation over the battery, proved on each module by its
+    residual's integer coefficients; the verdict counts the sample pairs of
+    the grids that each proof covers."""
     started = time.perf_counter()
     battery = rtt_battery()
     pairs = 0

@@ -11,9 +11,9 @@ the generator matrices
 with z = mu_a, and the full module multiplies these n x n operator grids
 factor by factor (the coproduct sums over all intermediate indices), in
 integers on the nonzero entries; rational functions in u are formed only
-where the API returns them.  Verification routines either stay symbolic or
-sample on integer grids large enough that agreement is an exact
-degree-bound certificate.
+where the API returns them.  Verification routines stay symbolic: the
+defining relation holds when the integer coefficients of its residual are
+all zero, and an integer sampling grid is walked only to name a failure.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .exact import (ONE, ZERO, Poly, RatFun, _cleared, _it_div, _it_mul,
                     _it_sub, _iu_add, _iu_mul, linear, q)
@@ -337,7 +335,7 @@ def eigen_series(spec: ModuleSpec, i: int) -> RatFun:
     return value
 
 
-# --------------------------------------------------- sampled relation check
+# -------------------------------------------------- defining-relation check
 
 def _integer_samples(count: int, forbidden: set[Fraction], start: int,
                      step: int) -> list[int]:
@@ -363,6 +361,8 @@ def _sorted_unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct entries of a sorted array and where each first occurs
     as np.unique gives them, without the lazy import of numpy.ma that
     np.unique and np.union1d can make."""
+    import numpy as np
+
     first = np.ones(len(values), dtype=bool)
     first[1:] = values[1:] != values[:-1]
     starts = np.flatnonzero(first)
@@ -382,6 +382,8 @@ def _support_products(support: np.ndarray, n: int, dim: int):
     slot, and one last product of two zero slots gives every reduction a
     trailing zero.
     """
+    import numpy as np
+
     gen, row, col = np.unravel_index(support, (n * n, dim, dim))
     by_row = np.argsort(row, kind="stable")
     counts = np.bincount(row, minlength=dim)
@@ -408,6 +410,8 @@ def _relation_slots(out: np.ndarray, n: int, dim: int):
     reduced products, one per term; a term that no product reaches reads
     the trailing zero slot len(out).
     """
+    import numpy as np
+
     shape = (n, n, n, n, dim, dim)
 
     def crossed(flat):
@@ -437,21 +441,27 @@ def _residual_coefficients(spec: ModuleSpec) -> tuple[np.ndarray, np.ndarray]:
     one position, c the largest |coefficient|), which bounds every partial
     sum, and on Python integers otherwise.
     """
+    import numpy as np
+
     n, dim = spec.n, spec.dim
     _, table = action_table(spec)
-    entries = [(((i * n + j) * dim + r) * dim + c, cs)
-               for i in range(n) for j in range(n)
-               for r, c, cs in table[i][j]]
-    support = np.array([e[0] for e in entries], dtype=np.intp)
-    width = max((len(e[1]) for e in entries), default=1)
-    left, right, starts, out = _support_products(support, n, dim)
+    support, rows = [], []
+    for ab, entries in enumerate(itertools.chain.from_iterable(table)):
+        for r, c, cs in entries:
+            support.append((ab * dim + r) * dim + c)
+            rows.append(cs)
+    width = max(map(len, rows), default=1)
+    # one row of coefficients per entry, padded, and the zero slot last
+    rows = [(*cs, *(0,) * (width - len(cs))) for cs in rows]
+    rows.append((0,) * width)
+    left, right, starts, out = _support_products(
+        np.array(support, dtype=np.intp), n, dim)
     codes, at_p, at_q, at_cross = _relation_slots(out, n, dim)
 
-    big = max((abs(x) for _, cs in entries for x in cs), default=0)
+    big = max(map(abs, itertools.chain.from_iterable(rows)))
     group = int(np.diff(starts).max(initial=1))
     dtype = np.int64 if 6 * group * big * big < 2 ** 63 else object
-    C = np.array([list(cs) + [0] * (width - len(cs))
-                  for _, cs in entries] + [[0] * width], dtype=dtype).T
+    C = np.array(rows, dtype=dtype).T
     G = np.add.reduceat(np.take(C, left, axis=1)[:, None]
                         * np.take(C, right, axis=1)[None], starts, axis=2)
     Gt = G.transpose(1, 0, 2)
@@ -467,41 +477,50 @@ def _residual_coefficients(spec: ModuleSpec) -> tuple[np.ndarray, np.ndarray]:
 def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
     """Certify (u-v)[T_ij(u), T_kl(v)] = T_kj(u)T_il(v) - T_kj(v)T_il(u).
 
-    Both sides, cleared of all denominators, are bivariate polynomials of
-    degree at most 4m + 2 in each variable, so agreement on an integer grid
-    with more than 4m + 2 distinct values per axis (off the poles) is an
-    exact proof.  The check reads action_table itself: its integer entries
-    are den(w) * T(w), and both sides are linear in T(u) and in T(v), so
-    that nonzero scale at each point leaves the relation unchanged.
+    The check reads action_table itself: its integer entries are
+    den(w) * T(w), and both sides are linear in T(u) and in T(v), so that
+    nonzero scale at each point leaves the relation unchanged.  Only the
+    products of two supported entries can be nonzero, and each is bilinear
+    in their coefficients, so they give the integer coefficient array R of
+    the residual, (u - v) times the commutator minus the right side, at
+    every position one of the four terms reaches (_residual_coefficients);
+    at the others both sides are sums of zero products.  The relation holds
+    exactly when R is zero, so a zero R proves it outright.
 
-    Only the products that can be nonzero are formed.  The support is read
-    from the table: an entry outside it is the zero polynomial, and every
-    product that leaves it out is zero.  Each product of two supported
-    entries is bilinear in their coefficients, so the products give, once
-    per call, the integer coefficient array R of the residual, (u - v)
-    times the commutator minus the right side, at every position one of
-    the four terms reaches (_residual_coefficients); at the others both
-    sides are sums of zero products.  Vandermonde matrix products
-    evaluate R at every grid pair, and every value is tested.  They take
-    the grid in blocks of at most _GRID_BLOCK values, so the working set
-    does not grow with samples, and run in int64 only when
-    max|R| sum_k |u|^k sum_l |v|^l < 2**63, which bounds every partial
-    sum.  The support is small because T_ab(u) moves the gl_n weight by
-    e_a - e_b, but the check does not rest on that.
-    Raises RelationViolated at the first failing (u, v) in row-major
-    order, naming the first failing (i,j,k,l) in lexicographic order.
+    samples sizes an integer grid, with more than 4m + 2 values per axis
+    off the poles, on which agreement would also prove the relation (both
+    sides have degree at most 4m + 2 in each variable); pairs counts that
+    grid, which the identity covers.  The grid is walked only when R is
+    nonzero, to locate the failure: Vandermonde products evaluate R in
+    blocks of at most _GRID_BLOCK values, in int64 only when
+    max|R| sum_k |u|^k sum_l |v|^l < 2**63, which bounds every partial sum.
+    Raises RelationViolated at the first failing (u, v) in row-major order,
+    naming the first failing (i,j,k,l) in lexicographic order, or, when no
+    grid pair fails (a table whose degree exceeds the bound), at the first
+    nonzero coefficient of R in C order.
     """
+    import numpy as np
+
     need = 4 * spec.m + 3
     if samples is None:
         samples = need * need
     if samples <= 2 * (4 * spec.m + 2):
         raise ValueError(f"need more than {2 * (4 * spec.m + 2)} samples")
     per_axis = max(need, isqrt(samples - 1) + 1)
+    codes, R = _residual_coefficients(spec)
+    if not R.any():
+        return RttReport(spec, per_axis * per_axis, 4 * spec.m + 2, True)
+
+    def fails(s: int, where: str) -> RelationViolated:
+        bad = np.unravel_index(codes[s], (spec.n,) * 4 + (spec.dim,) * 2)
+        a, b, c, d = (int(x) + 1 for x in bad[:4])
+        return RelationViolated(
+            f"defining relation fails at (i,j,k,l)=({a},{b},{c},{d}),"
+            f" {where} on {spec}")
+
     poles = {z for z in spec.mu} | {z - 1 for z in spec.mu}
     us = _integer_samples(per_axis, poles, 1, 1)
     vs = _integer_samples(per_axis, poles, -1, -1)
-
-    codes, R = _residual_coefficients(spec)
     degrees = range(len(R))
 
     def reach(ws: list[int]) -> int:
@@ -517,9 +536,9 @@ def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
 
     # Blocks are whole rows or, when a row is larger than _GRID_BLOCK
     # (then rows is 1), pieces of one row, taken in row-major order, so
-    # the first failing block holds the first failing pair.  codes is
-    # empty only for a table with no nonzero entry (a corrupted one).
-    size = max(len(codes), 1)
+    # the first failing block holds the first failing pair.  R is nonzero,
+    # so codes is not empty.
+    size = len(codes)
     cols = min(len(vs), max(1, _GRID_BLOCK // size))
     rows = max(1, _GRID_BLOCK // (size * cols))
     for top in range(0, len(us), rows):
@@ -534,14 +553,10 @@ def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
             failing = residual.any(axis=2)
             if failing.any():
                 i, j = divmod(int(np.flatnonzero(failing)[0]), len(block_v))
-                at = np.flatnonzero(residual[i, j])[0]
-                bad = np.unravel_index(codes[at], (spec.n,) * 4
-                                       + (spec.dim,) * 2)
-                a, b, c, d = (int(x) + 1 for x in bad[:4])
-                raise RelationViolated(
-                    f"defining relation fails at (i,j,k,l)=({a},{b},{c},{d}),"
-                    f" u={block_u[i]}, v={block_v[j]} on {spec}")
-    return RttReport(spec, len(us) * len(vs), 4 * spec.m + 2, True)
+                raise fails(np.flatnonzero(residual[i, j])[0],
+                            f"u={block_u[i]}, v={block_v[j]}")
+    k, l, s = np.unravel_index(np.flatnonzero(R)[0], R.shape)
+    raise fails(s, f"coefficient of u^{k} v^{l}")
 
 
 # ----------------------------------------- product-form eigenvalue spectrum

@@ -304,12 +304,33 @@ def test_verify_rtt_samples_floor(capsys, monkeypatch):
     assert json.loads(out)["pairs"] == 169
 
 
+def test_verify_rtt_huge_grid_costs_nothing(capsys, monkeypatch):
+    # a passing module is proved by its residual's coefficients, so the
+    # grid that --samples names is counted and never built
+    code, out, _ = run(capsys, monkeypatch,
+                       ["verify", "--suite", "rtt", "--samples", "100000000",
+                        "--n", "2", "--mu", "0,0", "--nu", "1,-1"])
+    assert code == 0
+    assert '"pairs":100000000' in out
+
+
 def test_verify_rtt_too_few_samples(capsys, monkeypatch):
     code, _, err = run(capsys, monkeypatch,
                        ["verify", "--suite", "rtt", "--samples", "4",
                         "--n", "2", "--mu", "0,0", "--nu", "1,-1"])
     assert code == 2
     assert "samples" in err
+
+
+def run_child(script):
+    """Run script in a fresh Python with this ylab importable and no cache;
+    returns the CompletedProcess."""
+    env = dict(os.environ, YLAB_CACHE="")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (os.path.dirname(os.path.dirname(cli.__file__)),
+                      env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
 
 
 def test_verify_rtt_does_not_import_numpy_ma():
@@ -321,14 +342,33 @@ def test_verify_rtt_does_not_import_numpy_ma():
               "code = cli.main(['verify', '--suite', 'rtt', '--n', '2',"
               " '--mu', '0,0', '--nu', '1,-1'])\n"
               "print(code, 'numpy.ma' in sys.modules)\n")
-    env = dict(os.environ, YLAB_CACHE="")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (os.path.dirname(os.path.dirname(cli.__file__)),
-                      env.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=60)
+    done = run_child(script)
     assert done.returncode == 0 and done.stderr == ""
     assert done.stdout.splitlines()[-1] == "0 False"
+
+
+def test_only_the_rtt_suite_imports_numpy():
+    # numpy is imported inside the defining-relation check alone, so a
+    # fresh process that runs every other command never loads it
+    script = (
+        "import io, sys\n"
+        "from ylab import cli\n"
+        "spec = ['--n', '2', '--mu', '0,0', '--nu', '1,-1']\n"
+        "jobs = [['build', *spec], ['intertwine', *spec],"
+        " ['drinfeld', *spec]]\n"
+        "jobs += [['verify', '--suite', s, *spec] for s in ('intertwine',"
+        " 'words', 'eigen', 'lemma41', 'iso', 'composite', 'drinfeld')]\n"
+        "codes = [cli.main(job) for job in jobs]\n"
+        "sys.stdin = io.StringIO("
+        "'{\"P\":[[\"0\",\"1\"]],\"Qn\":{\"den\":[\"-3\",\"1\"],"
+        "\"num\":[\"1\"]}}')\n"
+        "codes.append(cli.main(['realize']))\n"
+        "sys.stdin = io.StringIO('[[1,\"0\"],[-2,\"0\"],[2,\"3\"]]')\n"
+        "codes.append(cli.main(['reduce', '--n', '2']))\n"
+        "print(codes, 'numpy' in sys.modules, file=sys.stderr)\n")
+    done = run_child(script)
+    assert done.returncode == 0
+    assert done.stderr.splitlines()[-1] == f"{[0] * 12} False"
 
 
 def test_verify_desk_bounds(capsys, monkeypatch):

@@ -400,6 +400,12 @@ def cells(spec, a, b, nonzero):
             if ((r, c) in support) == nonzero]
 
 
+def vanishing(roots):
+    """A change that adds prod (w - z) over z in roots: zero at each root."""
+    late = functools.reduce(_iu_mul, ([-z, 1] for z in roots))
+    return lambda cs: _iu_add(cs, late)
+
+
 CORRUPTIONS = [
     (True, lambda cs: _iu_add(cs, [1])),      # a supported entry changes
     (True, lambda cs: ()),                    # a nonzero entry leaves
@@ -438,11 +444,6 @@ def test_rtt_grid_blocks(monkeypatch, block):
     monkeypatch.setattr(ya, "_GRID_BLOCK", block)
     assert rtt_check(spec, samples) == dense_rtt_check(spec, samples)
     us, vs = range(2, 15), range(-2, -15, -1)
-
-    def vanishing(roots):
-        late = functools.reduce(_iu_mul, ([-z, 1] for z in roots))
-        return lambda cs: _iu_add(cs, late)
-
     changes = [change for _, change in CORRUPTIONS[:2]]
     named = []
     for change in changes + [lambda cs: _iu_add(cs, [-4, 0, 1]),
@@ -458,10 +459,50 @@ def test_rtt_grid_blocks(monkeypatch, block):
                          f"u=14, v=-2 on {spec}"]
 
 
+def test_rtt_names_a_coefficient_the_grid_misses(monkeypatch):
+    """Adding a multiple of every grid value of both axes to one entry of
+    T_12 lifts its degree past the bound, so every grid pair passes, in the
+    dense reference too; but the residual's coefficients are not all zero,
+    and the check names the first nonzero one in C order, the coefficient
+    of u^0 v^1 at (i,j,k,l) = (1,1,1,2)."""
+    spec = ModuleSpec.make(2, (0, 1), (1, 1))
+    samples = 12 * 12 + 5     # 13 values per axis
+    us, vs = range(2, 15), range(-2, -15, -1)
+    (r, c), *_ = cells(spec, 0, 1, True)
+    corrupt(monkeypatch, spec, 0, 1, r, c, vanishing([*us, *vs]))
+    assert dense_rtt_check(spec, samples).passed
+    codes, R = ya._residual_coefficients(spec)
+    first = np.ravel_multi_index((0, 1, 6), R.shape)   # u^0 v^1 at codes[6]
+    assert np.flatnonzero(R)[0] == first
+    assert np.unravel_index(codes[6], (2,) * 4 + (4,) * 2)[:4] == (0, 0, 0, 1)
+    with pytest.raises(RelationViolated) as exc:
+        rtt_check(spec, samples)
+    assert str(exc.value) == ("defining relation fails at (i,j,k,l)=(1,1,1,2),"
+                              f" coefficient of u^0 v^1 on {spec}")
+
+
+def test_rtt_battery_is_proved_by_coefficients(monkeypatch):
+    """On every battery module the residual's coefficient array is zero, and
+    the check passes without building a grid sample."""
+    battery = rtt_battery()
+    assert len(battery) == 356
+    for spec in battery:
+        assert not ya._residual_coefficients(spec)[1].any()
+
+    def no_grid(*args):
+        raise AssertionError("a passing module reached the sampling grid")
+
+    monkeypatch.setattr(ya, "_integer_samples", no_grid)
+    for spec in battery:
+        report = rtt_check(spec)
+        need = 4 * spec.m + 3
+        assert report == ya.RttReport(spec, need * need, need - 1, True)
+
+
 def test_rtt_on_an_empty_table(monkeypatch):
     """A table corrupted to no nonzero entry leaves no position to test;
-    the check still samples the whole grid and passes, as the dense
-    reference does."""
+    its empty coefficient array passes the check, as the dense reference
+    passes the whole grid."""
     spec = ModuleSpec.make(1, (0,), (0,))
     corrupt(monkeypatch, spec, 0, 0, 0, 0, lambda cs: ())
     assert len(ya._residual_coefficients(spec)[0]) == 0
