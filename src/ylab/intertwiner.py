@@ -377,24 +377,29 @@ def intertwine_check(spec: ModuleSpec, inter: Intertwiner) -> IntertwineReport:
     The two denominators need not be equal (those of dual_iso are not).  Each
     supported entry of A is multiplied by den_tgt and each of B by den_src
     once, then spread along the nonzero entries of I; every position so
-    reached is tested in C order, and no other can be nonzero.
+    reached is tested in C order, and no other can be nonzero.  Equal
+    denominators (those of every build_I operator) are not multiplied in:
+    the residual is den (I A - B I), nonzero at the same positions.
     """
     _, mat = _cleared(inter.matrix)
     i_rows = [[(c, x) for c, x in enumerate(row) if x] for row in mat]
     i_cols = [[(r, x) for r, x in enumerate(col) if x] for col in zip(*mat)]
     src_den, src = action_table(spec)
     tgt_den, tgt = action_table(inter.target_spec)
+    cross = src_den != tgt_den
     n = spec.n
     for i in range(n):
         for j in range(n):
             residual: dict = {}  # (r, c) -> (I A) den_tgt - (B I) den_src
             for k, c, cs in src[i][j]:
-                cs = _iu_mul(cs, tgt_den)
+                if cross:
+                    cs = _iu_mul(cs, tgt_den)
                 for r, x in i_cols[k]:
                     residual[r, c] = _iu_add(residual.get((r, c), []),
                                              [x * y for y in cs])
             for r, k, cs in tgt[i][j]:
-                cs = _iu_mul(cs, src_den)
+                if cross:
+                    cs = _iu_mul(cs, src_den)
                 for c, x in i_rows[k]:
                     residual[r, c] = _iu_sub(residual.get((r, c), []),
                                              [x * y for y in cs])
@@ -494,11 +499,13 @@ def laurent_tail_matrices(spec: ModuleSpec, depth: Optional[int] = None):
     """Coefficients of u^-r, r = 1..depth, of every T_ij(u), as matrices.
 
     Every entry is a proper rational function, so T_ij(u) = delta_ij plus a
-    power series in 1/u; the default depth 4m + 2 spans the coefficient space
-    of any sequence satisfying the entries' denominator recurrences.  This
-    is the Fraction view of _series_tails' integer pairs; the library's
-    certificates read the pairs, and it stays as the public entry point to
-    the tails that the tests and perfbench/tracing.py name.
+    power series in 1/u.  The default depth 4m + 2 is at least the degree k
+    of action_table's denominator, and the tails to depth k span all the
+    others (see _restricted_tails), so the default holds every spanning
+    tail and some that are redundant.  This is the Fraction view of
+    _series_tails' integer pairs; the library's certificates read the pairs,
+    to depth k only, and it stays as the public entry point to the tails
+    that the tests and perfbench/tracing.py name.
     """
     return [[[Fraction(x, scale) for x in row] for row in rows]
             for _, _, tails in _series_tails(spec, depth)
@@ -509,7 +516,15 @@ _CLOSURE_PRIMES = (1_000_003, 1_000_033, 1_000_037)
 
 
 def _restricted_tails(target: ModuleSpec, basis, pivots):
-    """Every tail operator of the target restricted to the image, in integers.
+    """The spanning tail operators of the target restricted to the image.
+
+    The tails are read to the depth k of the table's denominator, which
+    span all the others: past k the numerator terms of _series_tails'
+    recurrence vanish, so S_t = -sum_{s=1..k} a_s d^(s-1) S_(t-s) for every
+    t > k, and every deeper tail is a fixed combination of S_0, ..., S_k
+    with S_0 = d delta_ij times the identity.  Invariance, the closure of a
+    vector and the common kernel of the raising tails are the same over
+    the first k as over all of them.
 
     With the tail O = (d_O, d_O times the tail) from _series_tails and the
     basis B (as columns) cleared to integers, the restriction is
@@ -525,7 +540,7 @@ def _restricted_tails(target: ModuleSpec, basis, pivots):
     # B is d_B times the identity on the pivot rows: only the others can fail
     off_pivot = [i for i in range(len(b_rows)) if i not in pivot_set]
     ops, raising, scales = {}, {}, set()
-    for i, j, tails in _series_tails(target):
+    for i, j, tails in _series_tails(target, len(action_table(target)[0]) - 1):
         for d_o, o in tails:
             ob = mat_mul(o, b_rows)
             restricted = tuple(ob[pv] for pv in pivots)
@@ -593,12 +608,16 @@ def image_analysis(spec: ModuleSpec, inter: Intertwiner) -> ImageReport:
     """Rank, image basis, and the irreducibility verdict of the image.
 
     The image V (rank r) of an intertwining operator is a submodule of the
-    target.  Its invariance under every Laurent-tail coefficient (all n^2
-    series, depths 1..4m+2) is certified exactly, in integers, and gives
-    the operators restricted to V.  The coefficients come from an integer
-    recurrence on the target table's nonzero support (see _series_tails),
-    each with its least scale, so the scales, and with them the primes
-    below, are those of the rational coefficients.
+    target.  Its invariance under the Laurent-tail coefficients of all n^2
+    series at depths 1..k, k the degree of the target table's denominator
+    (one per factor of nonzero degree, so k <= m), is certified exactly, in
+    integers, and gives the operators restricted to V.  Every deeper
+    coefficient is a fixed combination of these and of the identity (see
+    _restricted_tails), so the verdicts below hold for all of them.  The
+    coefficients come from an integer recurrence on the target table's
+    nonzero support (see _series_tails), each with its least scale, so the
+    scales, and with them the primes below, are those of the rational
+    coefficients.
 
     Every nonzero finite-dimensional Y(gl_n)-module holds a nonzero singular
     vector, one killed by all t_ij(u) with i < j, and the singular vectors

@@ -468,6 +468,7 @@ def test_intertwine_matches_dense_reference_on_every_bumped_entry(which):
     if which == "canonical":
         spec = spec_of(2, (0, 0), (1, 1))
         inter = build_I(spec)
+        assert action_table(spec)[0] == action_table(inter.target_spec)[0]
     else:
         spec = spec_of(2, (1, F(1, 2)), (1, -1))
         inter = dual_iso(spec)
@@ -520,6 +521,73 @@ def fraction_series_tails(spec, depth=None):
             yield i, j, [coeffs[t] for t in range(depth) if nonzero[t]]
 
 
+def depth_indexed_tails(spec, depth):
+    """(dhat, [(i, j, {(r, c): [S_0, ..., S_depth]})]): den's coefficients,
+    highest first, and every Laurent coefficient of every nonzero entry of
+    every series, zero ones too.
+
+    S_t is the coefficient of u^-t.  With x = 1/u the entry is
+    phat(x) / dhat(x), phat its numerator's coefficients reversed, and S_t
+    is read off phat times the power series of 1 / dhat(x), itself formed
+    by the recurrence e_t = -sum_s dhat[s] e_(t-s): no numerator enters a
+    recurrence, unlike in _series_tails and fraction_series_tails.
+    """
+    grid, den = reference_table(spec)
+    dim, n = spec.dim, spec.n
+    dhat = list(reversed(den.coeffs))  # den monic => dhat[0] == 1
+    k = len(dhat) - 1
+    inverse = [F(1)]
+    for t in range(1, depth + 1):
+        inverse.append(-sum(dhat[s] * inverse[t - s]
+                            for s in range(1, min(t, k) + 1)))
+    series = []
+    for i in range(n):
+        for j in range(n):
+            entries = {}
+            for r in range(dim):
+                for c in range(dim):
+                    p = grid[i][j][r][c]
+                    if p.is_zero():
+                        continue
+                    phat = [F(0)] * (k + 1)
+                    for e, v in enumerate(p.coeffs):
+                        phat[k - e] = v
+                    entries[r, c] = [sum(phat[s] * inverse[t - s]
+                                         for s in range(min(t, k) + 1))
+                                     for t in range(depth + 1)]
+            series.append((i, j, entries))
+    return dhat, series
+
+
+def test_tails_past_the_denominator_degree_are_spanned():
+    # image_analysis reads the tails to the degree k of the denominator: the
+    # deeper ones follow from S_0, ..., S_k by den's own recurrence
+    checked = 0
+    for spec in dominant_battery():
+        if spec.dim > 9:
+            continue
+        depth, dim = 4 * spec.m + 2, spec.dim
+        dhat, series = depth_indexed_tails(spec, depth)
+        k = len(dhat) - 1
+        assert k == len(action_table(spec)[0]) - 1 <= spec.m
+        nonzero = []
+        for i, j, entries in series:
+            tails = [[[F(0)] * dim for _ in range(dim)]
+                     for _ in range(depth + 1)]
+            for (r, c), seq in entries.items():
+                for t in range(k + 1, depth + 1):
+                    assert seq[t] == -sum(dhat[s] * seq[t - s]
+                                          for s in range(1, k + 1))
+                for t, v in enumerate(seq):
+                    tails[t][r][c] = v
+            assert tails[0] == [[F(i == j and r == c) for c in range(dim)]
+                                for r in range(dim)]  # S_0 = delta_ij
+            nonzero += [tail for tail in tails[1:] if any(map(any, tail))]
+        assert nonzero == laurent_tail_matrices(spec)
+        checked += 1
+    assert checked > 200
+
+
 # ------------------------------------------------------------- Laurent tails
 
 def test_laurent_tails_at_origin():
@@ -547,11 +615,12 @@ def test_laurent_tails_trivial_factor():
     assert laurent_tail_matrices(spec) == []
 
 
-def reference_scales(target, basis, pivots):
-    """The scales d_O d_B of the nonzero restricted tails, from Fractions."""
+def reference_scales(target, basis, pivots, depth=None):
+    """The scales d_O d_B of the nonzero restricted tails to depth, from
+    Fractions."""
     d_b, cols = _cleared(basis)
     scales = set()
-    for _, _, tails in fraction_series_tails(target):
+    for _, _, tails in fraction_series_tails(target, depth):
         for mat in tails:
             d_o, o = _cleared(mat)
             if any(sum(map(mul, o[pv], col)) for pv in pivots for col in cols):
@@ -560,15 +629,20 @@ def reference_scales(target, basis, pivots):
 
 
 def test_closure_primes_follow_the_fraction_scales():
-    # the scales decide which of _CLOSURE_PRIMES the closure may run at
+    # the scales decide which of _CLOSURE_PRIMES the closure may run at; the
+    # closure reads the tails to the denominator's degree, and the deeper
+    # ones only add scales, never a verdict
     checked = 0
     for spec in dominant_battery():
         if spec.dim > 9:
             continue
         inter = build_I(spec)
+        target = inter.target_spec
         basis, pivots = itw._column_echelon(inter.matrix)
-        scales = itw._restricted_tails(inter.target_spec, basis, pivots)[2]
-        assert scales == reference_scales(inter.target_spec, basis, pivots)
+        scales = itw._restricted_tails(target, basis, pivots)[2]
+        depth = len(action_table(target)[0]) - 1
+        assert scales == reference_scales(target, basis, pivots, depth)
+        assert scales <= reference_scales(target, basis, pivots)
         checked += 1
     assert checked > 200
 
@@ -617,6 +691,36 @@ def test_image_exact_fallback_agrees(monkeypatch):
     monkeypatch.setattr(itw, "_CLOSURE_PRIMES", ())
     report = image_analysis(spec, inter)
     assert report.rank == 3 and report.irreducible is True
+
+
+def test_image_reports_equal_at_full_depth(monkeypatch):
+    # the tails past the denominator's degree change no report, with the
+    # closure primes or with exact arithmetic alone
+    specs = [spec for spec in dominant_battery() if spec.dim <= 16]
+
+    def reports():
+        return [(image_analysis(spec, build_I(spec)),
+                 image_analysis(spec, Intertwiner(
+                     spec, spec, identity_matrix(spec.dim))))
+                for spec in specs]
+
+    spanning = reports()
+    with monkeypatch.context() as patch:
+        patch.setattr(itw, "_CLOSURE_PRIMES", ())
+        spanning_exact = reports()
+    assert spanning_exact == spanning
+    depths, series_tails = [], itw._series_tails
+
+    def full_depth(spec, depth=None):
+        depths.append(depth)
+        return series_tails(spec)
+
+    monkeypatch.setattr(itw, "_series_tails", full_depth)
+    assert reports() == spanning
+    monkeypatch.setattr(itw, "_CLOSURE_PRIMES", ())
+    assert reports() == spanning
+    assert depths and all(d is not None and d <= 3 for d in depths)
+    assert any(r.irreducible is False for _, r in spanning)
 
 
 @pytest.mark.parametrize("mu", [(0, -1), (1, 0), (-1, 0)])
