@@ -709,17 +709,17 @@ def test_image_reports_equal_at_full_depth(monkeypatch):
         patch.setattr(itw, "_CLOSURE_PRIMES", ())
         spanning_exact = reports()
     assert spanning_exact == spanning
-    depths, series_tails = [], itw._series_tails
+    spanning_depths, series_tails = [], itw._series_tails
 
     def full_depth(spec, depth=None):
-        depths.append(depth)
+        spanning_depths.append(depth is not None and depth <= spec.m)
         return series_tails(spec)
 
     monkeypatch.setattr(itw, "_series_tails", full_depth)
     assert reports() == spanning
     monkeypatch.setattr(itw, "_CLOSURE_PRIMES", ())
     assert reports() == spanning
-    assert depths and all(d is not None and d <= 3 for d in depths)
+    assert spanning_depths and all(spanning_depths)
     assert any(r.irreducible is False for _, r in spanning)
 
 
