@@ -4,8 +4,9 @@
     python3 scripts/parity.py REV
 
 REV's `src/` is exported with `git archive` into a temporary directory.
-Over every spec of the dominant battery (which holds the mixed battery),
-the jobs are `build`, `intertwine`, `drinfeld` and `verify --suite S` for
+Over every spec of the dominant battery (which holds the mixed battery)
+and of the word battery (whose four-row specs hold two rows beside each
+root pair's), the jobs are `build`, `intertwine`, `drinfeld` and `verify --suite S` for
 every suite S the CLI accepts for that spec (`words` needs m <= 4,
 `lemma41` dim <= 16, `iso` n <= 4).  One child process per tree runs them
 all through `cli.main`, without a cache.  Each job's exit code, or the
@@ -16,7 +17,7 @@ operator: the rank, the image basis and the verdict, or the exception
 raised.  These are compared like the jobs.  The first difference is
 printed and the exit code is 1; with none it prints the counts and exits
 0.  A REV git cannot export, or a tree whose run fails, exits 2.  It takes
-about 10 s on a 2-core machine.
+about 20 s on a 2-core machine.
 """
 
 import argparse
@@ -34,14 +35,16 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def jobs() -> tuple[list[list[str]], list]:
     """The argv of every job, and the [n, mu, nu] of every image spec, built
-    from this checkout's battery."""
+    from this checkout's batteries."""
     sys.path.insert(0, str(ROOT / "src"))
-    from ylab.battery import dominant_battery
+    from ylab.battery import dominant_battery, word_battery
     from ylab.cli import SUITES
     from ylab.exact import q_str
 
+    specs = dominant_battery()
+    specs += [spec for row in word_battery().values() for spec in row]
     out, images = [], []
-    for spec in dominant_battery():
+    for spec in dict.fromkeys(specs):
         if spec.dim <= 64:
             images.append([spec.n, list(map(q_str, spec.mu)), list(spec.nu)])
         flags = [f"--n={spec.n}", "--mu=" + ",".join(map(q_str, spec.mu)),

@@ -66,6 +66,13 @@ THREE_ROW_SPECS = (
     ModuleSpec.make(3, (Fraction(1, 2), 0, -2), (3, 2, -2)),
 )
 
+# Four-column extension: up to n = 3 no factor of _RootFactors makes two
+# moves; these dominant n = 4 specs reach the series terms with r >= 2.
+FOUR_COLUMN_SPECS = tuple(
+    spec for nu in ((2, 2), (2, -2), (3, 1), (1, 3), (2, 1))
+    for mu in ((0, 0), (0, Fraction(1, 2)), (1, 0), (0, -1))
+    for spec in [ModuleSpec.make(4, mu, nu)] if is_dominant(spec))
+
 # Witness that a canonical operator can have a kernel: two single-box
 # factors one unit apart give rank 3 out of dimension 4.
 KERNEL_SPEC = ModuleSpec.make(2, (0, -1), (1, 1))
@@ -77,6 +84,7 @@ def dominant_battery() -> list[ModuleSpec]:
            if is_dominant(spec) and spec.dim <= DIM_CAP]
     out.extend(spec for spec in THREE_ROW_SPECS
                if spec.n <= MAX_N and spec.dim <= DIM_CAP)
+    out.extend(FOUR_COLUMN_SPECS)
     if KERNEL_SPEC not in out:
         out.append(KERNEL_SPEC)
     return out
@@ -89,11 +97,12 @@ def mixed_battery() -> list[ModuleSpec]:
 
 
 # Criterion inputs for word independence: every reduced word of the longest
-# element must give the same operator.  Three specs per row count.
+# element must give the same operator (the n = 4 spec reaches r >= 2).
 WORD_SPECS_M3 = (
     ModuleSpec.make(2, (0, 0, 0), (1, 1, 1)),
     ModuleSpec.make(2, (0, Fraction(1, 2), -3), (2, 1, 1)),
     ModuleSpec.make(2, (1, Fraction(1, 2), 0), (1, -1, 1)),
+    ModuleSpec.make(4, (0, -2, -4), (2, 2, 1)),
 )
 
 WORD_SPECS_M4 = (

@@ -142,11 +142,10 @@ def dual_iso(spec: ModuleSpec,
         if sorted(det_mus) != sorted(spec.mu[a] for a in neg):
             raise ValueError(
                 "determinantal shifts do not match the negative rows")
-    barred = ModuleSpec.make(spec.n, spec.mu, spec.nubar)
     target = ModuleSpec.make(spec.n, spec.mu + det_mus,
                              spec.nubar + (-spec.n,) * len(neg))
     return Intertwiner(spec, target,
-                       _module_matrix(spec, barred, R_eps(spec).matrix))
+                       _module_matrix(R_eps(spec).matrix))
 
 
 # ------------------------------------------------------------- composite check

@@ -7,8 +7,8 @@ reduced, positive denominator, arbitrary precision).  This module adds:
   * `Poly`    -- univariate polynomials over Q in a formal variable u,
                  coefficients stored lowest degree first,
   * `RatFun`  -- reduced rational functions num/den with monic denominator,
-  * `pochhammer`, `factor_linear` -- the scalar utilities the
-                 representation-theoretic layers need,
+  * `factor_linear` -- the scalar utility the representation-theoretic
+                 layers need,
   * `_iu_*`, `_it_*` -- one kernel for Z[u] (int lists, lowest degree first,
                  no trailing zeros, [] is zero) and Z[u][t] (lists of those,
                  low t first), which the module table, the characteristic
@@ -151,17 +151,6 @@ def _it_div(a, b):
                 a[k + i] = _iu_sub(a[k + i], _iu_mul(c, y))
     if any(a[i] for i in range(len(b) - 1)):
         raise ArithmeticError("inexact division in characteristic polynomial")
-    return out
-
-
-def pochhammer(x: Scalar, r: int) -> Fraction:
-    """Rising factorial x(x+1)...(x+r-1); the empty product 1 when r = 0."""
-    if r < 0:
-        raise ValueError("pochhammer needs a nonnegative length")
-    x = Fraction(x)
-    out = Fraction(1)
-    for k in range(r):
-        out *= x + k
     return out
 
 

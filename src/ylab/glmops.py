@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
-from .exact import _cleared, pochhammer
+from .exact import _cleared
 from .grassmann import Grassmann, GrassmannElt
 
 
@@ -32,6 +32,11 @@ def E_op(a: int, b: int, x: GrassmannElt) -> GrassmannElt:
     return EE_op((1,) * x.algebra.m, a, b, x)
 
 
+def _check_signs(eps: Sequence[int], m: int) -> None:
+    if len(eps) != m or any(e not in (1, -1) for e in eps):
+        raise ValueError(f"sign vector {eps} is not a length-{m} choice of +-1")
+
+
 def EE_op(eps: Sequence[int], a: int, b: int, x: GrassmannElt) -> GrassmannElt:
     """Signed variant: rows with eps = -1 trade multiplication for derivation.
 
@@ -41,8 +46,7 @@ def EE_op(eps: Sequence[int], a: int, b: int, x: GrassmannElt) -> GrassmannElt:
     Each summand is one two-step chain of the Grassmann kernel.
     """
     G = x.algebra
-    if len(eps) != G.m or any(e not in (1, -1) for e in eps):
-        raise ValueError(f"sign vector {eps} is not a length-{G.m} choice of +-1")
+    _check_signs(eps, G.m)
     p_mul, q_mul = eps[b - 1] == -1, eps[a - 1] == 1
     return G.act(tuple(((1 << G.slot(b, i), p_mul), (1 << G.slot(a, i), q_mul))
                        for i in range(1, G.n + 1)), x)
@@ -139,6 +143,27 @@ def operator_matrix(G: Grassmann,
         d * den // g, tuple(tuple(x // g for x in row) for row in rows)))
 
 
+def _spread(block, dims: Sequence[int], a: int, b: int) -> tuple[tuple, ...]:
+    """block, a map on the product basis of rows a and b, on the product
+    basis of all the rows (row 1 slowest, as in basis_of_weight) as the
+    identity on the others."""
+    stride = [math.prod(dims[r + 1:]) for r in range(len(dims))]
+    offsets = [0]  # the positions of the other rows' basis vectors
+    for r, dim in enumerate(dims):
+        if r not in (a - 1, b - 1):
+            offsets = [o + k * stride[r] for o in offsets for k in range(dim)]
+    local = [ka * stride[a - 1] + kb * stride[b - 1]
+             for ka in range(dims[a - 1]) for kb in range(dims[b - 1])]
+    size = len(offsets) * len(local)
+    rows = [[0] * size for _ in range(size)]
+    for k, row in zip(local, block):
+        entries = [(local[c], x) for c, x in enumerate(row) if x]
+        for o in offsets:
+            for c, x in entries:
+                rows[o + k][o + c] = x
+    return tuple(map(tuple, rows))
+
+
 def XY_op(G: Grassmann, kind: str, w: Sequence, a: int, b: int,
           nu: Sequence[int], eps: Optional[Sequence[int]] = None) -> LinearMap:
     """The rational series operator of kind 'X' or 'Y' on the weight-nu space.
@@ -150,11 +175,18 @@ def XY_op(G: Grassmann, kind: str, w: Sequence, a: int, b: int,
     Requires w_a - w_b not to be a negative integer (series denominators
     (w_a - w_b + 1)_r must not vanish).
 
-    The map is built in integers: with den the least common denominator of
-    the coefficients c_r = (-1)^r / (r! (w_a - w_b + 1)_r), the row
-    operators run on each basis monomial with coefficient 1, giving the
-    columns of the integer matrices M_r = B^r A^r, and
-    den + sum_r (den c_r) M_r is den times the map.
+    The series acts on rows a and b alone: it is built on G_{2n} at the
+    weight (nu_a, nu_b) with the signs (eps_a, eps_b), then spread as the
+    identity on the other m - 2 rows.  Their signs cancel: slots are
+    row-major, a step in row a or b negates once per occupied slot below
+    it, and the other rows never change, so every step in row a meets the
+    same count of their slots, as does every step in row b; B^r A^r makes
+    2r steps in each row, an even count.
+
+    It is built in integers: with c = w_a - w_b = p / q, the coefficient of
+    B^r A^r is c_r = (-q)^r / (r! prod_{k<=r} (p + k q)), den is the lcm of
+    their denominators, the row operators run on each two-row monomial with
+    coefficient 1, and den + sum_r (den c_r) B^r A^r is den times the map.
     """
     if not (1 <= a < b <= G.m):
         raise ValueError(f"need 1 <= a < b <= m, got ({a}, {b})")
@@ -164,13 +196,23 @@ def XY_op(G: Grassmann, kind: str, w: Sequence, a: int, b: int,
     if c.denominator == 1 and c < 0:
         raise ForbiddenWeightDifference(
             f"w_{a} - w_{b} = {c} is a negative integer")
+    nu = tuple(nu)
+    G.check_weight(nu)
+    if eps is None:
+        row = E_op
+    else:
+        _check_signs(eps, G.m)
+        row = partial(EE_op, (eps[a - 1], eps[b - 1]))
+    i, j = (1, 2) if kind == "X" else (2, 1)  # A = E_ij, B = E_ji on G_{2n}
 
-    row = E_op if eps is None else partial(EE_op, eps)
-    i, j = (a, b) if kind == "X" else (b, a)  # A = E_ij, B = E_ji
-    coeffs = [Fraction((-1) ** r) / (pochhammer(1, r) * pochhammer(c + 1, r))
-              for r in range(1, G.n + 1)]
-    den = math.lcm(*(x.denominator for x in coeffs))
-    scaled = [x.numerator * (den // x.denominator) for x in coeffs]
+    p, q = c.numerator, c.denominator
+    ratios, num, dnm = [], 1, 1
+    for r in range(1, G.n + 1):
+        num, dnm = -q * num, r * (p + r * q) * dnm
+        g = math.gcd(num, dnm)
+        ratios.append((num // g, dnm // g))
+    den = math.lcm(*(abs(y) for _, y in ratios))
+    scaled = [x * den // y for x, y in ratios]
 
     def series(x: GrassmannElt) -> GrassmannElt:
         out = {mono: den * v for mono, v in x.terms.items()}
@@ -184,6 +226,9 @@ def XY_op(G: Grassmann, kind: str, w: Sequence, a: int, b: int,
                 term = row(j, i, term)  # B^r A^r x
             for mono, v in term.terms.items():
                 out[mono] = out.get(mono, 0) + k * v
-        return GrassmannElt(G, out)
+        return GrassmannElt(x.algebra, out)
 
-    return operator_matrix(G, series, nu, den=den)
+    d, block = operator_matrix(Grassmann(2, G.n), series,
+                               (nu[a - 1], nu[b - 1]), den=den).cleared
+    dims = [math.comb(G.n, k) for k in nu]
+    return LinearMap(nu, nu, cleared=(d, _spread(block, dims, a, b)))

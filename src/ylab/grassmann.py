@@ -29,10 +29,6 @@ class DimensionMismatch(ValueError):
     """Operands live in Grassmann algebras of different (m, n)."""
 
 
-class NonIncreasingTuple(ValueError):
-    """An exterior-power basis label must be strictly increasing."""
-
-
 # -- permutations of row indices (1-based one-line notation) -----------------
 
 def perm_identity(m: int) -> tuple[int, ...]:
@@ -286,12 +282,16 @@ class Grassmann:
 
     # -- weight bases and the tensor-basis correspondence -----------------------
 
-    def basis_of_weight(self, nu: Sequence[int]) -> list[int]:
-        """All monomials with the given row degrees, lexicographic in slots."""
+    def check_weight(self, nu: Sequence[int]) -> None:
+        """Raise unless nu is a row-degree vector of this algebra."""
         if len(nu) != self.m:
             raise DimensionMismatch(f"weight length {len(nu)} != m = {self.m}")
         if any(d < 0 or d > self.n for d in nu):
             raise ValueError(f"row degrees {nu} outside 0..{self.n}")
+
+    def basis_of_weight(self, nu: Sequence[int]) -> list[int]:
+        """All monomials with the given row degrees, lexicographic in slots."""
+        self.check_weight(nu)
         row_choices = []
         for a, d in enumerate(nu, start=1):
             base = (a - 1) * self.n
@@ -309,22 +309,3 @@ class Grassmann:
                 mono |= mask
             out.append(mono)
         return out
-
-    def alpha_encode(self, index_tuples: Sequence[Sequence[int]]) -> int:
-        """Monomial of the basis map: tensor factor a with exterior basis label
-        (j_1 < ... < j_k) contributes the block x_{a j_1} ... x_{a j_k}."""
-        if len(index_tuples) != self.m:
-            raise DimensionMismatch(
-                f"{len(index_tuples)} factor labels for m = {self.m} rows")
-        mono = 0
-        for a, tup in enumerate(index_tuples, start=1):
-            prev = 0
-            for j in tup:
-                if j <= prev:
-                    raise NonIncreasingTuple(
-                        f"factor {a} label {tuple(tup)} is not strictly increasing")
-                if j > self.n:
-                    raise ValueError(f"index {j} exceeds n = {self.n}")
-                mono |= 1 << self.slot(a, j)
-                prev = j
-        return mono

@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 from .exact import _cleared, _iu_add, _iu_mul, _iu_sub
 from .glmops import XY_op, mat_mul, operator_matrix
 from .grassmann import (Grassmann, perm_apply, perm_compose, perm_identity,
-                        perm_inverse, perm_longest, perm_transposition)
-from .yangian import ModuleSpec, action_table, highest_vector, wedge_basis
+                        perm_longest, perm_transposition)
+from .yangian import ModuleSpec, action_table, highest_vector
 
 
 class NotReduced(ValueError):
@@ -121,47 +121,39 @@ def _check_normal(m: int, pairs: Sequence[tuple[int, int]]) -> None:
                 f"ordering is not normal: {merged} outside {p}..{q}")
 
 
-def root_order(word: ReducedWord) -> RootOrdering:
-    """Positive roots in the normal order induced by the reduced word.
-
-    The s-th pair is (sigma^-1(a_s), sigma^-1(a_s + 1)) where sigma is the
-    product of the letters strictly after position s.
-    """
-    m = word.m
-    suffix = perm_identity(m)
-    pairs: list[tuple[int, int]] = []
-    for a in reversed(word.letters):
-        inv = perm_inverse(suffix)
+def _word_pairs(m: int, letters: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The s-th pair is (sigma^-1(a_s), sigma^-1(a_s + 1)), sigma the product
+    of the letters after position s: walking back, each letter a swaps the
+    entries a and a + 1 of sigma^-1."""
+    inv = list(range(1, m + 1))
+    pairs = []
+    for a in reversed(letters):
         pairs.append((inv[a - 1], inv[a]))
-        suffix = perm_compose(perm_transposition(m, a), suffix)
+        inv[a - 1], inv[a] = inv[a], inv[a - 1]
     pairs.reverse()
+    return tuple(pairs)
+
+
+def root_order(word: ReducedWord) -> RootOrdering:
+    """Positive roots in the normal order induced by the reduced word (see
+    _word_pairs), checked to be increasing and normal."""
+    pairs = _word_pairs(word.m, word.letters)
     for a, b in pairs:
         if not a < b:
             raise NotReduced(f"derived pair ({a}, {b}) is not increasing")
-    _check_normal(m, pairs)
-    return RootOrdering(m, tuple(pairs))
+    _check_normal(word.m, pairs)
+    return RootOrdering(word.m, pairs)
 
 
 # -------------------------------------------------------- basis index support
 
-def _module_positions(G: Grassmann, spec: ModuleSpec) -> list[int]:
-    """Module basis index -> position in the Grassmann weight basis."""
-    bases = [wedge_basis(spec.n, k) for k in spec.abs_nu]
-    order = {mask: r for r, mask in enumerate(G.basis_of_weight(spec.abs_nu))}
-    out = []
-    for combo in itertools.product(*bases):
-        out.append(order[G.alpha_encode(combo)])
-    if sorted(out) != list(range(len(out))):
-        raise AssertionError("module basis does not biject with weight basis")
-    return out
-
-
-def _module_matrix(source: ModuleSpec, target: ModuleSpec, rows,
-                   den: int = 1) -> tuple[tuple[Fraction, ...], ...]:
-    """rows / den, a map of Grassmann weight bases, on the module bases."""
-    G = Grassmann(source.m, source.n)
-    src, tgt = _module_positions(G, source), _module_positions(G, target)
-    return tuple(tuple(Fraction(rows[t][s], den) for s in src) for t in tgt)
+def _module_matrix(rows, den: int = 1) -> tuple[tuple[Fraction, ...], ...]:
+    """rows / den, a map of Grassmann weight bases, on the module bases,
+    which basis_of_weight enumerates in the same order: the product of the
+    wedge bases, factor 1 slowest, each lexicographic."""
+    zero = Fraction(0)
+    return tuple(tuple(Fraction(x, den) if x else zero for x in row)
+                 for row in rows)
 
 
 # ----------------------------------------------------------------- Intertwiner
@@ -276,7 +268,7 @@ def _assemble(factors: _RootFactors, orders) -> tuple[Intertwiner, int]:
                 for a in range(spec.m) for b in range(a + 1, spec.m))
     target = spec.permuted(perm_longest(spec.m))
     out = Intertwiner(spec, target, _module_matrix(
-        spec, target, ranked[0], -den if n_exp % 2 else den))
+        ranked[0], -den if n_exp % 2 else den))
     if out.hv_scale() != 1:
         raise ArithmeticError(
             "construction failed to normalize the distinguished vector")
@@ -332,7 +324,7 @@ def elementary(kind: str, spec: ModuleSpec, a: int) -> Intertwiner:
                            perm_apply(sig, weight))
     target = spec.permuted(sig)
     return Intertwiner(spec, target, _module_matrix(
-        spec, target, swap.compose(factor).matrix))
+        swap.compose(factor).matrix))
 
 
 # ------------------------------------------------------------------- checking
@@ -346,17 +338,19 @@ class WordReport:
 
 def word_independence_check(spec: ModuleSpec) -> WordReport:
     """Insist that every reduced word gives the same operator: each word's is
-    its integer product R f_1 ... f_k over one denominator with one sign, put
-    on the module bases by a bijection of positions, so words agree exactly
-    when their products do.  A sorted walk shares each prefix product (65 for
-    m = 4, not 96); only the first word's product becomes an operator."""
+    its integer product R f_1 ... f_k over one denominator with one sign, read
+    on the module bases in place, so words agree exactly when their products
+    do.  The words come from the generator and their pairs from _word_pairs,
+    unchecked.  A sorted walk shares each prefix product (65 for m = 4, not
+    96); only the first word's product becomes an operator."""
     if spec.m > 4:
         raise ValueError("word enumeration is limited to m <= 4")
-    words = all_reduced_words(spec.m)
-    odd = _assemble(_RootFactors(spec), [root_order(w).pairs for w in words])[1]
+    words = _reduced_words_of(perm_longest(spec.m))
+    odd = _assemble(_RootFactors(spec),
+                    [_word_pairs(spec.m, w) for w in words])[1]
     if odd:
-        raise WordDependenceViolated(f"word {words[odd].letters} disagrees"
-                                     f" with {words[0].letters} on {spec}")
+        raise WordDependenceViolated(f"word {words[odd]} disagrees"
+                                     f" with {words[0]} on {spec}")
     return WordReport(spec, len(words), True)
 
 
@@ -450,7 +444,7 @@ def _column_echelon(matrix) -> tuple[list[list[Fraction]], list[int]]:
     return basis, pivots
 
 
-def _series_tails(spec: ModuleSpec, depth: Optional[int] = None):
+def _series_tails(spec: ModuleSpec, depth: Optional[int] = None, table=None):
     """Yield (i, j, tails) per series T_ij(u), 0-based, nonzero terms only.
 
     The tails are the coefficients of u^-t, t = 1..depth, that are not
@@ -462,11 +456,12 @@ def _series_tails(spec: ModuleSpec, depth: Optional[int] = None):
       S_t = d^t N_t - sum_{s=1..k} a_s d^(s-1) S_(t-s)
     is an integer and the u^-t coefficient of p / den is S_t / d^(t+1).
     Each tail is divided once by gcd(d^(t+1), all of its entries), so the
-    pairs do not depend on the table's scale.
+    pairs do not depend on the table's scale.  A caller that has read
+    action_table(spec) passes it as table.
     """
     if depth is None:
         depth = 4 * spec.m + 2
-    den, support = action_table(spec)
+    den, support = action_table(spec) if table is None else table
     dim, n = spec.dim, spec.n
     k = len(den) - 1
     d = den[-1]
@@ -540,7 +535,8 @@ def _restricted_tails(target: ModuleSpec, basis, pivots):
     # B is d_B times the identity on the pivot rows: only the others can fail
     off_pivot = [i for i in range(len(b_rows)) if i not in pivot_set]
     ops, raising, scales = {}, {}, set()
-    for i, j, tails in _series_tails(target, len(action_table(target)[0]) - 1):
+    table = action_table(target)
+    for i, j, tails in _series_tails(target, len(table[0]) - 1, table):
         for d_o, o in tails:
             ob = mat_mul(o, b_rows)
             restricted = tuple(ob[pv] for pv in pivots)

@@ -5,8 +5,9 @@ integers (glmops.operator_matrix, glmops.XY_op) and reduces each
 product-form eigenvalue candidate by cancelling shared linear factors
 (yangian.eigen_candidates).  These are the constructions they replaced:
 every operator run on Fraction GrassmannElts and materialized as a
-Fraction matrix, the series term by term through E_op/EE_op and
-pochhammer, and every candidate normalised by RatFun's poly_gcd.  Tests
+Fraction matrix, the series term by term on the whole weight space through
+E_op/EE_op and Fraction Pochhammer symbols, and every candidate normalised
+by RatFun's poly_gcd.  Tests
 compare the library against them.
 """
 
@@ -14,9 +15,20 @@ import itertools
 from fractions import Fraction
 from functools import partial
 
-from ylab.exact import ONE, RatFun, linear, pochhammer
+from ylab.exact import ONE, RatFun, linear
 from ylab.glmops import E_op, EE_op, ForbiddenWeightDifference
 from ylab.grassmann import GrassmannElt, perm_apply
+
+
+def pochhammer(x, r: int) -> Fraction:
+    """Rising factorial x(x+1)...(x+r-1); the empty product 1 when r = 0."""
+    if r < 0:
+        raise ValueError("pochhammer needs a nonnegative length")
+    x = Fraction(x)
+    out = Fraction(1)
+    for k in range(r):
+        out *= x + k
+    return out
 
 
 def reference_matrix(G, op, domain_nu, codomain_nu):

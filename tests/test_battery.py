@@ -44,7 +44,7 @@ def test_dominant_battery():
         assert spec.m <= 3
     assert KERNEL_SPEC in battery
     assert any(spec.m == 3 for spec in battery)
-    assert len(battery) == 299
+    assert len(battery) == 316
 
 
 def test_mixed_battery():

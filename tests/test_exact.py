@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from reference_factors import pochhammer
 from ylab.exact import (
     NEG_INF, ONE, U, ZERO, IrrationalRoots, PoleEvaluation, Poly, RatFun,
-    factor_linear, linear, poly_gcd, pochhammer, q, q_str,
+    factor_linear, linear, poly_gcd, q, q_str,
 )
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=50)

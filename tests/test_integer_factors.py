@@ -14,7 +14,8 @@ from reference_factors import (reference_candidates, reference_integer_samples,
 from ylab.battery import dominant_battery, rtt_battery, word_battery
 from ylab.exact import _cleared
 from ylab.glmops import E_op, ForbiddenWeightDifference, XY_op, operator_matrix
-from ylab.grassmann import Grassmann, perm_apply, perm_longest
+from ylab.grassmann import (DimensionMismatch, Grassmann, perm_apply,
+                            perm_longest)
 from ylab.intertwiner import _RootFactors
 from ylab.yangian import ModuleSpec
 
@@ -83,6 +84,23 @@ def test_factors_match_reference_on_random_inputs():
         assert_same_factor(G, rng.choice("XY"), w, a, b, nu, eps)
 
 
+def test_two_row_build_matches_reference_beside_a_spectator():
+    """m = 3 with (a, b) = (1, 3): the factor is built on rows 1 and 3 and
+    spread over row 2, whose degree is odd on a third of the weights; every
+    weight with n <= 3, both kinds, without signs and with each of the
+    eight sign vectors, at a rational and an integer difference."""
+    spectators = set()
+    for n in (1, 2, 3):
+        G = Grassmann(3, n)
+        for nu in product(range(n + 1), repeat=3):
+            spectators.add(nu[1] % 2)
+            for w in ((F(1, 2), 3, F(-4, 3)), (2, F(1, 2), 0)):
+                for eps in (None, *product((1, -1), repeat=3)):
+                    for kind in "XY":
+                        assert_same_factor(G, kind, w, 1, 3, nu, eps)
+    assert spectators == {0, 1}
+
+
 def test_factor_error_paths_match_reference():
     G = Grassmann(2, 2)
     for kind, w in (("X", (0, 1)), ("Y", (0, 5))):
@@ -94,6 +112,16 @@ def test_factor_error_paths_match_reference():
                  ("X", (1, 0), 1, 2, (1, 1), (1, 0)),
                  ("Y", (0, -1), 1, 2, (1, 1), (1,)),
                  ("X", (1, 0), 1, 2, (1, 3), None)):
+        assert_same_factor(G, *args)
+    # three rows: the checks cover the row beside the pair too
+    G = Grassmann(3, 2)
+    for args in (("X", (1, 0, 0), 1, 3, (1, 3, 1), None),
+                 ("Y", (1, 0, 0), 1, 3, (1, 1, 1), (1, -1)),
+                 ("X", (1, 0, 0), 1, 3, (1, 1, 1), (1, 0, 1)),
+                 ("X", (1, 0, 0), 1, 3, (1, 1), None)):
+        got = outcome(XY_op, G, *args)
+        assert isinstance(got, tuple) and got[0] in (ValueError,
+                                                     DimensionMismatch)
         assert_same_factor(G, *args)
 
 

@@ -8,14 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ylab.intertwiner as itw
+from reference_basis import module_positions
 from reference_coproduct import reference_table
 from reference_elementary import (compose_elementary,
                                   elementary_composition_check)
-from ylab.battery import KERNEL_SPEC, dominant_battery, word_battery
+from ylab.battery import (KERNEL_SPEC, dominant_battery, mixed_battery,
+                          rtt_battery, word_battery)
 from ylab.duality import dual_iso, hv_flip_exponent
 from ylab.exact import _cleared
 from ylab.glmops import XY_op, mat_mul, operator_matrix
-from ylab.grassmann import Grassmann, perm_apply, perm_longest
+from ylab.grassmann import (Grassmann, perm_apply, perm_compose,
+                            perm_identity, perm_inverse, perm_longest,
+                            perm_transposition)
 from ylab.intertwiner import (Intertwiner, IntertwiningViolated, NotDominant,
                               NotReduced, ReducedWord,
                               WordDependenceViolated, WordReport,
@@ -73,6 +77,30 @@ def test_root_order_normal_for_all_words():
         for word in all_reduced_words(m):
             ordering = root_order(word)         # raises if not normal
             assert len(ordering.pairs) == m * (m - 1) // 2
+
+
+def textbook_pairs(word):
+    """(sigma^-1(a_s), sigma^-1(a_s + 1)) per letter, sigma the product of
+    the letters after it, by composing and inverting permutations."""
+    m, suffix, pairs = word.m, perm_identity(word.m), []
+    for a in reversed(word.letters):
+        inv = perm_inverse(suffix)
+        pairs.append((inv[a - 1], inv[a]))
+        suffix = perm_compose(perm_transposition(m, a), suffix)
+    return tuple(reversed(pairs))
+
+
+def test_word_pairs_match_root_order_for_every_word():
+    # word_independence_check takes _word_pairs of the generator's words
+    # unchecked; root_order checks them; both are the textbook pairs
+    for m in (1, 2, 3, 4, 5):
+        words = all_reduced_words(m)
+        assert [w.letters for w in words] == list(
+            itw._reduced_words_of(perm_longest(m)))
+        for word in words:
+            pairs = itw._word_pairs(m, word.letters)
+            assert pairs == root_order(word).pairs == textbook_pairs(word)
+    assert len(words) == 768
 
 
 def test_check_normal_rejects_bad_order():
@@ -301,7 +329,8 @@ def test_word_independence_builds_each_factor_once(monkeypatch):
 
 
 def reference_I(spec, word):
-    """The canonical operator along the word, by textbook Fraction products."""
+    """The canonical operator along the word, by textbook Fraction products
+    (row by row, over each factor row's nonzero entries)."""
     G = Grassmann(spec.m, spec.n)
     weight = spec.abs_nu
     eps = spec.eps if any(d < 0 for d in spec.nu) else None
@@ -313,15 +342,40 @@ def reference_I(spec, word):
             factor = XY_op(G, "X", spec.lambar, a, b, weight, eps=eps)
         else:
             factor = XY_op(G, "Y", spec.mu, a, b, weight, eps=eps)
-        total = [[sum(row[k] * factor.matrix[k][c] for k in range(len(row)))
-                  for c in range(len(row))] for row in total]
+        columns = [[(c, y) for c, y in enumerate(row) if y]
+                   for row in factor.matrix]
+        product = []
+        for row in total:
+            out = [F(0)] * len(row)
+            for x, entries in zip(row, columns):
+                for c, y in entries if x else ():
+                    out[c] += x * y
+            product.append(out)
+        total = product
     n_exp = sum(spec.nu[a] * spec.nu[b]
                 for a in range(spec.m) for b in range(a + 1, spec.m))
     sign = -1 if n_exp % 2 else 1
-    src = itw._module_positions(G, spec)
-    tgt = itw._module_positions(G, spec.permuted(sigma0))
+    src = module_positions(G, spec)
+    tgt = module_positions(G, spec.permuted(sigma0))
     return tuple(tuple(sign * total[tgt[r]][src[c]] for c in range(spec.dim))
                  for r in range(spec.dim))
+
+
+def test_module_bases_are_the_weight_bases():
+    # _module_matrix reads maps of weight bases on the module bases in place:
+    # on every weight of the four batteries, of their factor-reversed targets
+    # and of their complemented (barred) specs, the positions are 0, 1, ...
+    specs = rtt_battery() + dominant_battery() + mixed_battery()
+    specs += [spec for row in word_battery().values() for spec in row]
+    weights = set()
+    for spec in specs:
+        weights |= {(spec.n, spec.abs_nu), (spec.n, spec.abs_nu[::-1]),
+                    (spec.n, spec.nubar)}
+    for n, nu in sorted(weights):
+        spec = spec_of(n, (0,) * len(nu), nu)
+        assert module_positions(Grassmann(spec.m, n), spec) == \
+            list(range(spec.dim))
+    assert len(weights) > 50
 
 
 def test_build_matches_fraction_reference_on_every_word():
@@ -336,7 +390,7 @@ def perturb_products(monkeypatch, spec, odd):
     column away from the distinguished vector's, so the first word's
     operator still normalizes and only the comparison can fail."""
     G = Grassmann(spec.m, spec.n)
-    hv = itw._module_positions(G, spec)[highest_vector(spec).index]
+    hv = module_positions(G, spec)[highest_vector(spec).index]
     products = itw._word_products
 
     def perturbed(factors, orders):
@@ -711,9 +765,9 @@ def test_image_reports_equal_at_full_depth(monkeypatch):
     assert spanning_exact == spanning
     spanning_depths, series_tails = [], itw._series_tails
 
-    def full_depth(spec, depth=None):
+    def full_depth(spec, depth=None, table=None):
         spanning_depths.append(depth is not None and depth <= spec.m)
-        return series_tails(spec)
+        return series_tails(spec, table=table)
 
     monkeypatch.setattr(itw, "_series_tails", full_depth)
     assert reports() == spanning
