@@ -52,11 +52,13 @@ def EE_op(eps: Sequence[int], a: int, b: int, x: GrassmannElt) -> GrassmannElt:
                        for i in range(1, G.n + 1)), x)
 
 
-def mat_mul(a, b) -> tuple[tuple, ...]:
-    """The product a b of row-sequence matrices of ints, Fractions or Polys.
-    Zero terms are skipped; sums start from 0, so integers stay integers."""
-    b_terms = [[(c, y) for c, y in enumerate(row) if y] for row in b]
-    width = len(b[0]) if b else 0
+def row_terms(b) -> list[list[tuple]]:
+    """Each row of b as the list of its nonzero (column, entry) pairs."""
+    return [[(c, y) for c, y in enumerate(row) if y] for row in b]
+
+
+def terms_mul(a, b_terms, width: int) -> tuple[tuple, ...]:
+    """The product a b, with b given by row_terms(b) and its width."""
     out = []
     for row in a:
         acc = [0] * width
@@ -66,6 +68,12 @@ def mat_mul(a, b) -> tuple[tuple, ...]:
                     acc[c] += x * y
         out.append(tuple(acc))
     return tuple(out)
+
+
+def mat_mul(a, b) -> tuple[tuple, ...]:
+    """The product a b of row-sequence matrices of ints, Fractions or Polys.
+    Zero terms are skipped; sums start from 0, so integers stay integers."""
+    return terms_mul(a, row_terms(b), len(b[0]) if b else 0)
 
 
 class LinearMap:
@@ -112,15 +120,13 @@ class LinearMap:
 def operator_matrix(G: Grassmann,
                     op: Callable[[GrassmannElt], GrassmannElt],
                     domain_nu: Sequence[int],
-                    codomain_nu: Optional[Sequence[int]] = None,
-                    den: int = 1) -> LinearMap:
-    """Materialize op / den as a matrix between weight bases, in integers.
+                    codomain_nu: Optional[Sequence[int]] = None) -> LinearMap:
+    """Materialize op as a matrix between weight bases, in integers.
 
     op runs on each basis monomial with the coefficient 1, so an op made of
     Grassmann kernel steps stays in integers.  The codomain weight defaults
-    to the domain weight.  Every image term must land in the declared
-    codomain weight space; anything else raises, which is how weight
-    bookkeeping errors surface instead of being silently dropped.
+    to the domain weight.  An image term outside the codomain weight space
+    raises, so weight bookkeeping errors surface instead of being dropped.
     """
     domain_nu = tuple(domain_nu)
     codomain_nu = domain_nu if codomain_nu is None else tuple(codomain_nu)
@@ -138,29 +144,23 @@ def operator_matrix(G: Grassmann,
             col[index[mono]] = c
         cols.append(col)
     d, rows = _cleared(list(zip(*cols)))
-    g = math.gcd(d * den, *(x for row in rows for x in row))
-    return LinearMap(domain_nu, codomain_nu, cleared=(
-        d * den // g, tuple(tuple(x // g for x in row) for row in rows)))
+    return LinearMap(domain_nu, codomain_nu,
+                     cleared=(d, tuple(map(tuple, rows))))
 
 
 def _spread(block, dims: Sequence[int], a: int, b: int) -> tuple[tuple, ...]:
     """block, a map on the product basis of rows a and b, on the product
     basis of all the rows (row 1 slowest, as in basis_of_weight) as the
     identity on the others."""
-    stride = [math.prod(dims[r + 1:]) for r in range(len(dims))]
-    offsets = [0]  # the positions of the other rows' basis vectors
-    for r, dim in enumerate(dims):
-        if r not in (a - 1, b - 1):
-            offsets = [o + k * stride[r] for o in offsets for k in range(dim)]
-    local = [ka * stride[a - 1] + kb * stride[b - 1]
-             for ka in range(dims[a - 1]) for kb in range(dims[b - 1])]
-    size = len(offsets) * len(local)
+    size, da, db = math.prod(dims), dims[a - 1], dims[b - 1]
+    sa, sb = math.prod(dims[a:]), math.prod(dims[b:])  # rows a, b's strides
+    terms = row_terms(block)
     rows = [[0] * size for _ in range(size)]
-    for k, row in zip(local, block):
-        entries = [(local[c], x) for c, x in enumerate(row) if x]
-        for o in offsets:
-            for c, x in entries:
-                rows[o + k][o + c] = x
+    for pos, row in enumerate(rows):
+        ka, kb = pos // sa % da, pos // sb % db
+        base = pos - ka * sa - kb * sb  # the other rows' part of pos
+        for c, x in terms[ka * db + kb]:
+            row[base + c // db * sa + c % db * sb] = x
     return tuple(map(tuple, rows))
 
 
@@ -170,23 +170,26 @@ def XY_op(G: Grassmann, kind: str, w: Sequence, a: int, b: int,
 
     kind X uses (A, B) = (E_ab, E_ba): each term lowers then restores row
     degrees, so the map preserves the weight-nu subspace; kind Y swaps the
-    roles.  The row operator is chosen once: E_op, or EE_op with the signs
-    eps when they are given.
-    Requires w_a - w_b not to be a negative integer (series denominators
-    (w_a - w_b + 1)_r must not vanish).
+    roles.  The row operator is E_op, or EE_op with the signs eps when they
+    are given.  Requires w_a - w_b not to be a negative integer (series
+    denominators (w_a - w_b + 1)_r must not vanish).
 
     The series acts on rows a and b alone: it is built on G_{2n} at the
     weight (nu_a, nu_b) with the signs (eps_a, eps_b), then spread as the
     identity on the other m - 2 rows.  Their signs cancel: slots are
-    row-major, a step in row a or b negates once per occupied slot below
-    it, and the other rows never change, so every step in row a meets the
-    same count of their slots, as does every step in row b; B^r A^r makes
-    2r steps in each row, an even count.
+    row-major, a step negates once per occupied slot below it, and the
+    other rows never change, so each step in row a (or b) meets the same
+    count of their slots; B^r A^r makes 2r steps in each row.
 
     It is built in integers: with c = w_a - w_b = p / q, the coefficient of
-    B^r A^r is c_r = (-q)^r / (r! prod_{k<=r} (p + k q)), den is the lcm of
-    their denominators, the row operators run on each two-row monomial with
-    coefficient 1, and den + sum_r (den c_r) B^r A^r is den times the map.
+    B^r A^r is c_r = (-q)^r / (r! prod_{k<=r} (p + k q)); den = |n!
+    prod_{k<=n} (p + k q)| clears them all, k_r = den c_r, and den over its
+    gcd with the entries of den + sum_r k_r B^r A^r is the least
+    denominator.  The series runs once, in Horner form
+    den x + B(k_1 A x + B(k_2 A^2 x + ...)), at most 2n row-operator calls,
+    on x the sum of all the two-row basis monomials, each with its column
+    index in the bits above the 2n slots: no step touches those bits, and a
+    step's sign counts only the set bits below its own slot.
     """
     if not (1 <= a < b <= G.m):
         raise ValueError(f"need 1 <= a < b <= m, got ({a}, {b})")
@@ -206,29 +209,31 @@ def XY_op(G: Grassmann, kind: str, w: Sequence, a: int, b: int,
     i, j = (1, 2) if kind == "X" else (2, 1)  # A = E_ij, B = E_ji on G_{2n}
 
     p, q = c.numerator, c.denominator
-    ratios, num, dnm = [], 1, 1
-    for r in range(1, G.n + 1):
-        num, dnm = -q * num, r * (p + r * q) * dnm
-        g = math.gcd(num, dnm)
-        ratios.append((num // g, dnm // g))
-    den = math.lcm(*(abs(y) for _, y in ratios))
-    scaled = [x * den // y for x, y in ratios]
+    dens = [r * (p + r * q) for r in range(1, G.n + 1)]
+    den = abs(math.prod(dens))
+    scaled = [(-q) ** r * den // math.prod(dens[:r])
+              for r in range(1, G.n + 1)]
 
-    def series(x: GrassmannElt) -> GrassmannElt:
-        out = {mono: den * v for mono, v in x.terms.items()}
-        arx = x
-        for r, k in enumerate(scaled, start=1):
-            arx = row(i, j, arx)  # A^r x, built incrementally
-            if arx.is_zero():
-                break
-            term = arx
-            for _ in range(r):
-                term = row(j, i, term)  # B^r A^r x
-            for mono, v in term.terms.items():
-                out[mono] = out.get(mono, 0) + k * v
-        return GrassmannElt(x.algebra, out)
-
-    d, block = operator_matrix(Grassmann(2, G.n), series,
-                               (nu[a - 1], nu[b - 1]), den=den).cleared
+    G2, shift = Grassmann(2, G.n), 2 * G.n
+    basis = G2.basis_of_weight((nu[a - 1], nu[b - 1]))
+    powers = [GrassmannElt(G2, {mono | col << shift: 1
+                                for col, mono in enumerate(basis)})]
+    for _ in scaled:  # powers[r] = A^r x
+        arx = row(i, j, powers[-1])
+        if arx.is_zero():
+            break
+        powers.append(arx)
+    acc: dict = {}  # B (k_r A^r x + B (...)), from the deepest term out
+    for r in range(len(powers) - 1, 0, -1):
+        for key, v in powers[r].terms.items():
+            acc[key] = acc.get(key, 0) + scaled[r - 1] * v
+        acc = row(j, i, GrassmannElt(G2, acc)).terms
+    g = math.gcd(den, *acc.values())
+    index = {mono: r for r, mono in enumerate(basis)}
+    block = [[den // g * (r == col) for col in range(len(basis))]
+             for r in range(len(basis))]
+    low = (1 << shift) - 1
+    for key, v in acc.items():
+        block[index[key & low]][key >> shift] += v // g
     dims = [math.comb(G.n, k) for k in nu]
-    return LinearMap(nu, nu, cleared=(d, _spread(block, dims, a, b)))
+    return LinearMap(nu, nu, cleared=(den // g, _spread(block, dims, a, b)))

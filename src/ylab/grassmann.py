@@ -265,21 +265,6 @@ class Grassmann:
             (base, c, [steps[t] for t in reversed(range(mono.bit_length()))
                        if mono >> t & 1]) for mono, c in x.terms.items())
 
-    def derive(self, a: int, i: int, x: GrassmannElt) -> GrassmannElt:
-        """Left derivation with respect to x_{ai}: the one-step chain."""
-        return self.act((((1 << self.slot(a, i), False),),), x)
-
-    def sym_act(self, sigma: Sequence[int], x: GrassmannElt) -> GrassmannElt:
-        """Algebra automorphism x_{ai} |-> x_{sigma(a) i}: each monomial is
-        rebuilt from 1 by left-multiplying the relabeled variables."""
-        self._check_same(x)
-        if len(sigma) != self.m or sorted(sigma) != list(range(1, self.m + 1)):
-            raise ValueError(f"{sigma} is not a permutation of 1..{self.m}")
-        n = self.n
-        steps = [(1 << ((sigma[s // n] - 1) * n + s % n), True)
-                 for s in range(self.m * n)]
-        return self.substitute(steps, 0, x)
-
     # -- weight bases and the tensor-basis correspondence -----------------------
 
     def check_weight(self, nu: Sequence[int]) -> None:

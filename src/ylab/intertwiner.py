@@ -22,10 +22,10 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .exact import _cleared, _iu_add, _iu_mul, _iu_sub
-from .glmops import XY_op, mat_mul, operator_matrix
+from .glmops import XY_op, mat_mul, row_terms, terms_mul
 from .grassmann import (Grassmann, perm_apply, perm_compose, perm_identity,
                         perm_longest, perm_transposition)
-from .yangian import ModuleSpec, action_table, highest_vector
+from .yangian import ModuleSpec, action_table, highest_index
 
 
 class NotReduced(ValueError):
@@ -85,11 +85,6 @@ def _reduced_words_of(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
             shorter = perm_compose(perm, perm_transposition(m, a))
             out.extend(w + (a,) for w in _reduced_words_of(shorter))
     return tuple(out)
-
-
-def all_reduced_words(m: int) -> list[ReducedWord]:
-    """Every reduced decomposition of the longest element (1 for m<=2)."""
-    return [ReducedWord(m, w) for w in _reduced_words_of(perm_longest(m))]
 
 
 # ------------------------------------------------------------- root orderings
@@ -156,6 +151,25 @@ def _module_matrix(rows, den: int = 1) -> tuple[tuple[Fraction, ...], ...]:
                  for row in rows)
 
 
+def _relabel(sigma: Sequence[int], n: int,
+             nu: Sequence[int]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The row relabeling x_{ai} -> x_{sigma(a) i} from weight nu, cleared:
+    the signed permutation sending the product basis vector (t_1, ..., t_m)
+    to the one with t_a in factor sigma(a).  Restoring row-major order moves
+    row blocks a < b past each other where sigma inverts them, so the sign
+    is (-1)^(sum of nu_a nu_b over those pairs) for every basis vector."""
+    sign = (-1) ** sum(nu[a] * nu[b] for a, b in itertools.combinations(
+        range(len(nu)), 2) if sigma[a] > sigma[b])
+    dims = [math.comb(n, d) for d in nu]
+    cod = perm_apply(sigma, dims)
+    stride = [math.prod(cod[s:]) for s in sigma]  # factor sigma(a)'s stride
+    size = math.prod(dims)
+    rows = [[0] * size for _ in range(size)]
+    for c, ks in enumerate(itertools.product(*map(range, dims))):
+        rows[sum(map(mul, ks, stride))][c] = sign
+    return 1, tuple(map(tuple, rows))
+
+
 # ----------------------------------------------------------------- Intertwiner
 
 @dataclass(frozen=True)
@@ -183,8 +197,8 @@ class Intertwiner:
     def hv_scale(self) -> Optional[Fraction]:
         """v when the operator sends the distinguished vector xi of spec to
         v xi', xi' that of target_spec; None when xi's image is off C xi'."""
-        col = self.column(highest_vector(self.spec).index)
-        hv = highest_vector(self.target_spec).index
+        col = self.column(highest_index(self.spec))
+        hv = highest_index(self.target_spec)
         if any(x for r, x in enumerate(col) if r != hv):
             return None
         return col[hv]
@@ -220,37 +234,41 @@ class _RootFactors(dict):
     """
 
     def __init__(self, spec: ModuleSpec):
-        super().__init__()
         check_dominant(spec)
         self.spec = spec
+        self._terms = {}
 
     def __missing__(self, pair):
         spec = self.spec
         G, weight = Grassmann(spec.m, spec.n), spec.abs_nu
         if pair is None:
-            sigma0 = perm_longest(spec.m)
-            op = operator_matrix(G, lambda x: G.sym_act(sigma0, x), weight,
-                                 perm_apply(sigma0, weight))
+            op = _relabel(perm_longest(spec.m), spec.n, weight)
         else:
             a, b = pair
             eps = spec.eps if any(d < 0 for d in spec.nu) else None
-            if spec.nubar[a - 1] >= spec.nubar[b - 1]:
-                op = XY_op(G, "X", spec.lambar, a, b, weight, eps=eps)
-            else:
-                op = XY_op(G, "Y", spec.mu, a, b, weight, eps=eps)
-        self[pair] = op.cleared
-        return op.cleared
+            x_kind = spec.nubar[a - 1] >= spec.nubar[b - 1]
+            kind, w = ("X", spec.lambar) if x_kind else ("Y", spec.mu)
+            op = XY_op(G, kind, w, a, b, weight, eps=eps).cleared
+        self[pair] = op
+        return op
+
+    def terms(self, pair):
+        """row_terms of the factor of pair, formed once for every product."""
+        if pair not in self._terms:
+            self._terms[pair] = row_terms(self[pair][1])
+        return self._terms[pair]
 
 
 def _word_products(factors: _RootFactors, orders):
     """Yield (s, R f_1 ... f_k) per pair sequence orders[s], in integers,
     walking them in sorted order with a stack of prefix products."""
     stack, last = [factors[None][1]], ()
+    dim = len(stack[0])
     for pairs, s in sorted(zip(orders, itertools.count())):
         k = next((t for t, pair in enumerate(last) if pair != pairs[t]), 0)
         del stack[k + 1:]  # keep R and the products of the shared prefix
         for pair in pairs[k:]:
-            stack.append(mat_mul(stack[-1], factors[pair][1]))
+            stack.append(terms_mul(stack[-1], factors.terms(pair), dim))
         last = pairs
         yield s, stack[-1]
 
@@ -317,14 +335,11 @@ def elementary(kind: str, spec: ModuleSpec, a: int) -> Intertwiner:
     if diff.denominator == 1 and diff < 0:
         raise NotDominant(
             f"weight difference at ({a}, {a + 1}) is {diff}, in -1, -2, ...")
-    G = Grassmann(spec.m, spec.n)
-    weight = spec.abs_nu
-    factor = XY_op(G, "X" if kind == "I_a" else "Y", w, a, a + 1, weight)
-    swap = operator_matrix(G, lambda x: G.sym_act(sig, x), weight,
-                           perm_apply(sig, weight))
-    target = spec.permuted(sig)
-    return Intertwiner(spec, target, _module_matrix(
-        swap.compose(factor).matrix))
+    d, factor = XY_op(Grassmann(spec.m, spec.n), "X" if kind == "I_a" else "Y",
+                      w, a, a + 1, spec.abs_nu).cleared
+    swap = _relabel(sig, spec.n, spec.abs_nu)[1]
+    return Intertwiner(spec, spec.permuted(sig),
+                       _module_matrix(mat_mul(swap, factor), d))
 
 
 # ------------------------------------------------------------------- checking
@@ -645,7 +660,7 @@ def image_analysis(spec: ModuleSpec, inter: Intertwiner) -> ImageReport:
 
     ops, raising, scales = _restricted_tails(inter.target_spec, basis, pivots)
     primes = [p for p in _CLOSURE_PRIMES if all(s % p for s in scales)]
-    h = highest_vector(inter.target_spec).index
+    h = highest_index(inter.target_spec)
     xi = [int(q == h) for q in range(len(inter.matrix))]
     k = basis.index(xi) if xi in basis else None
     line = None

@@ -275,27 +275,22 @@ class HighestVector:
     coords: tuple[Fraction, ...]
     index: int
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
 
-
-def highest_factor_tuple(n: int, d: int) -> tuple[int, ...]:
-    """Wedge indices of the distinguished vector of one factor."""
-    if d >= 0:
-        return tuple(range(1, d + 1))
-    return tuple(range(n + d + 1, n + 1))
+def highest_index(spec: ModuleSpec) -> int:
+    """Position of the distinguished vector in the module basis: in each
+    factor's lexicographic wedge basis, the first label (1, ..., d) when
+    d >= 0 and the last (n + d + 1, ..., n) when d < 0."""
+    idx = 0
+    for d in spec.nu:
+        size = comb(spec.n, abs(d))
+        idx = idx * size + (size - 1 if d < 0 else 0)
+    return idx
 
 
 def highest_vector(spec: ModuleSpec) -> HighestVector:
-    idx = 0
-    for a in range(spec.m):
-        basis = wedge_basis(spec.n, abs(spec.nu[a]))
-        pos = basis.index(highest_factor_tuple(spec.n, spec.nu[a]))
-        idx = idx * len(basis) + pos
-    coords = tuple(Fraction(1) if r == idx else Fraction(0)
-                   for r in range(spec.dim))
-    return HighestVector(coords, idx)
+    idx = highest_index(spec)
+    return HighestVector(tuple(Fraction(int(r == idx))
+                               for r in range(spec.dim)), idx)
 
 
 # ---------------------------------------------------------- eigenvalue series
@@ -316,7 +311,7 @@ def eigen_series(spec: ModuleSpec, i: int) -> RatFun:
     closed product form; any mismatch raises NotEigenvector.
     """
     den, table = action_table(spec)
-    col = highest_vector(spec).index
+    col = highest_index(spec)
     value = RatFun(ZERO)
     for r, c, cs in table[i - 1][i - 1]:
         if c == col and r != col:

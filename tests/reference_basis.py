@@ -5,13 +5,21 @@ slowest; the Grassmann weight basis (Grassmann.basis_of_weight) is the
 product of the rows' bases, row 1 slowest, each row's columns
 lexicographic.  The library reads a matrix between weight bases as the
 matrix on the module bases, position for position.  These are the basis
-map and the position map that checked that reading, one label at a time.
+map and the position map that checked that reading, one label at a time,
+and the label of each factor's distinguished vector.
 """
 
 import itertools
 
 from ylab.grassmann import DimensionMismatch
 from ylab.yangian import wedge_basis
+
+
+def highest_factor_tuple(n, d):
+    """Wedge indices of the distinguished vector of one factor."""
+    if d >= 0:
+        return tuple(range(1, d + 1))
+    return tuple(range(n + d + 1, n + 1))
 
 
 class NonIncreasingTuple(ValueError):

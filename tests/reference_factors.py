@@ -1,14 +1,14 @@
 """Fraction reference for the canonical operator's factors, kept for the tests.
 
-The library builds each rational series factor and the row relabelings in
-integers (glmops.operator_matrix, glmops.XY_op) and reduces each
-product-form eigenvalue candidate by cancelling shared linear factors
-(yangian.eigen_candidates).  These are the constructions they replaced:
-every operator run on Fraction GrassmannElts and materialized as a
-Fraction matrix, the series term by term on the whole weight space through
-E_op/EE_op and Fraction Pochhammer symbols, and every candidate normalised
-by RatFun's poly_gcd.  Tests
-compare the library against them.
+The library builds each rational series factor in integers (glmops.XY_op),
+each row relabeling as a signed permutation (intertwiner._relabel), and
+reduces each product-form eigenvalue candidate by cancelling shared linear
+factors (yangian.eigen_candidates).  These are the constructions they
+replaced: every operator run on Fraction GrassmannElts and materialized as
+a Fraction matrix, the series term by term on the whole weight space
+through E_op/EE_op and Fraction Pochhammer symbols, every relabeling as the
+algebra automorphism sym_act on each basis monomial, and every candidate
+normalised by RatFun's poly_gcd.  Tests compare the library against them.
 """
 
 import itertools
@@ -85,9 +85,25 @@ def reference_XY(G, kind, w, a, b, nu, eps=None):
     return reference_matrix(G, series, nu, nu)
 
 
+def derive(G, a, i, x):
+    """Left derivation of x by x_{ai}: the one-step chain of G's kernel."""
+    return G.act((((1 << G.slot(a, i), False),),), x)
+
+
+def sym_act(G, sigma, x):
+    """The algebra automorphism x_{ai} |-> x_{sigma(a) i} of G: each monomial
+    is rebuilt from 1 by left-multiplying the relabeled variables."""
+    if len(sigma) != G.m or sorted(sigma) != list(range(1, G.m + 1)):
+        raise ValueError(f"{sigma} is not a permutation of 1..{G.m}")
+    n = G.n
+    steps = [(1 << ((sigma[s // n] - 1) * n + s % n), True)
+             for s in range(G.m * n)]
+    return G.substitute(steps, 0, x)
+
+
 def reference_relabel(G, sigma, nu):
-    """The matrix of Grassmann.sym_act from weight nu, on Fraction elements."""
-    return reference_matrix(G, lambda x: G.sym_act(sigma, x), nu,
+    """The matrix of sym_act from weight nu, on Fraction elements."""
+    return reference_matrix(G, lambda x: sym_act(G, sigma, x), nu,
                             perm_apply(sigma, nu))
 
 

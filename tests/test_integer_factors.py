@@ -10,7 +10,7 @@ import pytest
 import ylab.yangian as ya
 from reference_factors import (reference_candidates, reference_integer_samples,
                                reference_matrix, reference_relabel,
-                               reference_XY)
+                               reference_XY, sym_act)
 from ylab.battery import dominant_battery, rtt_battery, word_battery
 from ylab.exact import _cleared
 from ylab.glmops import E_op, ForbiddenWeightDifference, XY_op, operator_matrix
@@ -132,7 +132,7 @@ def test_operator_matrix_matches_reference_and_escape():
     nu = (1, 1, 0)
     for op, cod in ((lambda x: E_op(1, 2, x), (2, 0, 0)),
                     (lambda x: E_op(3, 2, x).scale(F(2, 3)), (1, 0, 1)),
-                    (lambda x: G.sym_act((2, 3, 1), x),
+                    (lambda x: sym_act(G, (2, 3, 1), x),
                      perm_apply((2, 3, 1), nu))):
         got = outcome(operator_matrix, G, op, nu, cod)
         want = outcome(reference_matrix, G, op, nu, cod)

@@ -1,6 +1,7 @@
 """Reduced words, canonical intertwiners, elementary swaps, image analysis."""
 
 from fractions import Fraction as F
+from itertools import permutations, product
 from operator import mul
 
 import pytest
@@ -12,18 +13,19 @@ from reference_basis import module_positions
 from reference_coproduct import reference_table
 from reference_elementary import (compose_elementary,
                                   elementary_composition_check)
+from reference_factors import reference_relabel
 from ylab.battery import (KERNEL_SPEC, dominant_battery, mixed_battery,
                           rtt_battery, word_battery)
 from ylab.duality import dual_iso, hv_flip_exponent
 from ylab.exact import _cleared
-from ylab.glmops import XY_op, mat_mul, operator_matrix
-from ylab.grassmann import (Grassmann, perm_apply, perm_compose,
+from ylab.glmops import XY_op, mat_mul
+from ylab.grassmann import (Grassmann, perm_compose,
                             perm_identity, perm_inverse, perm_longest,
                             perm_transposition)
 from ylab.intertwiner import (Intertwiner, IntertwiningViolated, NotDominant,
                               NotReduced, ReducedWord,
                               WordDependenceViolated, WordReport,
-                              all_reduced_words, build_I, check_dominant,
+                              build_I, check_dominant,
                               default_word, elementary, image_analysis,
                               intertwine_check, laurent_tail_matrices,
                               root_order, word_independence_check)
@@ -32,6 +34,11 @@ from ylab.yangian import ModuleSpec, action_table, highest_vector
 
 def spec_of(n, mu, nu):
     return ModuleSpec.make(n, mu, nu)
+
+
+def all_reduced_words(m):
+    """Every reduced decomposition of the longest element (1 for m <= 2)."""
+    return [ReducedWord(m, w) for w in itw._reduced_words_of(perm_longest(m))]
 
 
 def identity_matrix(dim):
@@ -210,6 +217,20 @@ def test_build_rejects_nondominant():
 
 # ------------------------------------------------------- elementary operators
 
+def test_relabel_is_the_reference_signed_permutation():
+    """The closed-form relabeling equals the matrix of the algebra
+    automorphism on every basis monomial, for every permutation of m <= 4
+    rows and every weight with n <= 3: sigma_0, which build_I reads, and
+    the adjacent swaps of elementary among them."""
+    for m, n in product((1, 2, 3, 4), (1, 2, 3)):
+        G = Grassmann(m, n)
+        for sigma in permutations(range(1, m + 1)):
+            for nu in product(range(n + 1), repeat=m):
+                d, rows = _cleared(reference_relabel(G, sigma, nu))
+                assert itw._relabel(sigma, n, nu) == \
+                    (d, tuple(map(tuple, rows))), (sigma, nu)
+
+
 def test_elementary_validation():
     spec = spec_of(2, (0, F(1, 2)), (2, 1))
     with pytest.raises(ValueError):
@@ -335,8 +356,7 @@ def reference_I(spec, word):
     weight = spec.abs_nu
     eps = spec.eps if any(d < 0 for d in spec.nu) else None
     sigma0 = perm_longest(spec.m)
-    total = operator_matrix(G, lambda x: G.sym_act(sigma0, x), weight,
-                            perm_apply(sigma0, weight)).matrix
+    total = reference_relabel(G, sigma0, weight)
     for a, b in root_order(word).pairs:
         if spec.nubar[a - 1] >= spec.nubar[b - 1]:
             factor = XY_op(G, "X", spec.lambar, a, b, weight, eps=eps)
@@ -427,7 +447,7 @@ def test_word_independence_names_the_first_disagreeing_word(monkeypatch,
 
 
 def test_word_independence_shares_prefix_products(monkeypatch):
-    calls = {"mat_mul": 0, "_module_matrix": 0}
+    calls = {"terms_mul": 0, "row_terms": 0, "_module_matrix": 0}
     for name in calls:
         def counted(*args, name=name, real=getattr(itw, name)):
             calls[name] += 1
@@ -435,8 +455,9 @@ def test_word_independence_shares_prefix_products(monkeypatch):
         monkeypatch.setattr(itw, name, counted)
     spec = word_battery()[4][1]
     assert word_independence_check(spec).words == 16
-    # 65 distinct nonempty prefixes of the 16 pair sequences, not 16 * 6
-    assert calls == {"mat_mul": 65, "_module_matrix": 1}
+    # 65 distinct nonempty prefixes of the 16 pair sequences, not 16 * 6,
+    # each by a factor whose nonzero terms are listed once per factor
+    assert calls == {"terms_mul": 65, "row_terms": 6, "_module_matrix": 1}
 
 
 # The three four-row dim-8 word checks of the cli-cold benchmark's tail.

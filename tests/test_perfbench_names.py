@@ -1,6 +1,8 @@
 """The benchmark wraps and clears ylab functions by name; every name it
 holds must resolve, or only the traced benchmark run would notice a rename.
-Its own tests also rebuild an `Intertwiner` with `dataclasses.replace`.
+It counts the row operators' calls through their module names, so the
+series factors must reach them there.  Its own tests also rebuild an
+`Intertwiner` with `dataclasses.replace`.
 
 The names are read from the benchmark's source with ``ast``, without
 importing it."""
@@ -12,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
+import ylab.glmops as glmops
 from ylab.battery import KERNEL_SPEC
+from ylab.grassmann import Grassmann
 from ylab.intertwiner import build_I
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -87,3 +91,20 @@ def test_intertwiner_is_rebuilt_by_dataclasses_replace():
     assert wrong.spec == inter.spec == KERNEL_SPEC
     assert wrong.target_spec == inter.target_spec
     assert wrong.dim == inter.dim == 4
+
+
+def test_series_factors_call_the_row_operators_by_name(monkeypatch):
+    """An unsigned factor calls glmops.E_op and a signed one glmops.EE_op,
+    each looked up on the module when the factor is built."""
+    counts = {"E_op": 0, "EE_op": 0}
+    for name in counts:
+        def counted(*args, name=name, real=getattr(glmops, name)):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(glmops, name, counted)
+    G = Grassmann(2, 2)
+    glmops.XY_op(G, "X", (1, 0), 1, 2, (1, 1))
+    assert counts["E_op"] >= 1
+    unsigned = counts["EE_op"]
+    glmops.XY_op(G, "Y", (1, 0), 1, 2, (1, 1), eps=(1, -1))
+    assert counts["EE_op"] >= unsigned + 1

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import ylab
 import ylab.intertwiner as itw
 import ylab.yangian as ya
-from reference_basis import alpha_encode
+from reference_basis import alpha_encode, highest_factor_tuple
 from reference_coproduct import (cleared, reference_action, reference_factor,
                                  reference_table)
 from ylab.battery import dominant_battery, mixed_battery, rtt_battery
@@ -261,12 +261,13 @@ def test_highest_vector_examples():
 
 
 def test_highest_vector_matches_grassmann_encoding():
-    spec = ModuleSpec.make(3, (0, 1, 2), (2, -1, 3))
-    G = Grassmann(spec.m, spec.n)
-    tuples = tuple(ya.highest_factor_tuple(spec.n, d) for d in spec.nu)
-    mask = alpha_encode(G, tuples)
-    basis = G.basis_of_weight(spec.abs_nu)
-    assert basis.index(mask) == highest_vector(spec).index
+    for spec in ([ModuleSpec.make(3, (0, 1, 2), (2, -1, 3))]
+                 + rtt_battery() + mixed_battery()):
+        G = Grassmann(spec.m, spec.n)
+        tuples = tuple(highest_factor_tuple(spec.n, d) for d in spec.nu)
+        mask = alpha_encode(G, tuples)
+        basis = G.basis_of_weight(spec.abs_nu)
+        assert basis.index(mask) == highest_vector(spec).index, spec
 
 
 # ---------------------------------------------------------------- eigenvalues
