@@ -162,7 +162,7 @@ def _relabel(sigma: Sequence[int], n: int,
         range(len(nu)), 2) if sigma[a] > sigma[b])
     dims = [math.comb(n, d) for d in nu]
     cod = perm_apply(sigma, dims)
-    stride = [math.prod(cod[s:]) for s in sigma]  # factor sigma(a)'s stride
+    stride = [math.prod(cod[s:]) for s in sigma]  # factor a's, at sigma(a)
     size = math.prod(dims)
     rows = [[0] * size for _ in range(size)]
     for c, ks in enumerate(itertools.product(*map(range, dims))):
