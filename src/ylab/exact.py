@@ -95,6 +95,14 @@ def _iu_sub(a: Sequence, b: Sequence) -> list:
     return _iu_trim(out)
 
 
+def _iu_addto(acc: list, b: Sequence, x: int = 1) -> None:
+    """acc += x * b in place, extending acc when b is longer; untrimmed."""
+    if len(acc) < len(b):
+        acc.extend([0] * (len(b) - len(acc)))
+    for i, y in enumerate(b):
+        acc[i] += x * y
+
+
 def _iu_div(a: list[int], b: list[int]) -> list[int]:
     """Exact division in Z[u]; the quotient is promised to be integral."""
     if not a:

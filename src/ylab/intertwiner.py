@@ -21,7 +21,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
-from .exact import _cleared, _iu_add, _iu_mul, _iu_sub
+from .exact import _cleared, _iu_addto, _iu_mul
 from .glmops import XY_op, mat_mul, row_terms, terms_mul
 from .grassmann import (Grassmann, perm_apply, perm_compose, perm_identity,
                         perm_longest, perm_transposition)
@@ -385,7 +385,8 @@ def intertwine_check(spec: ModuleSpec, inter: Intertwiner) -> IntertwineReport:
     integers, and I is cleared by one integer d_I, which both sides carry.
     The two denominators need not be equal (those of dual_iso are not).  Each
     supported entry of A is multiplied by den_tgt and each of B by den_src
-    once, then spread along the nonzero entries of I; every position so
+    once, then spread along the nonzero entries of I, each term added in
+    place to its position's one coefficient list; every position so
     reached is tested in C order, and no other can be nonzero.  Equal
     denominators (those of every build_I operator) are not multiplied in:
     the residual is den (I A - B I), nonzero at the same positions.
@@ -404,16 +405,22 @@ def intertwine_check(spec: ModuleSpec, inter: Intertwiner) -> IntertwineReport:
                 if cross:
                     cs = _iu_mul(cs, tgt_den)
                 for r, x in i_cols[k]:
-                    residual[r, c] = _iu_add(residual.get((r, c), []),
-                                             [x * y for y in cs])
+                    acc = residual.get((r, c))
+                    if acc is None:
+                        residual[r, c] = [x * y for y in cs]
+                    else:
+                        _iu_addto(acc, cs, x)
             for r, k, cs in tgt[i][j]:
                 if cross:
                     cs = _iu_mul(cs, src_den)
                 for c, x in i_rows[k]:
-                    residual[r, c] = _iu_sub(residual.get((r, c), []),
-                                             [x * y for y in cs])
+                    acc = residual.get((r, c))
+                    if acc is None:
+                        residual[r, c] = [-x * y for y in cs]
+                    else:
+                        _iu_addto(acc, cs, -x)
             for r, c in sorted(residual):
-                if residual[r, c]:
+                if any(residual[r, c]):
                     raise IntertwiningViolated(
                         f"I does not intertwine T_{i + 1}{j + 1}"
                         f" at entry ({r}, {c}) on {spec}")
@@ -431,32 +438,59 @@ class ImageReport:
 
 
 def _column_echelon(matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Basis of the column span with pivot rows, echelonized top-down, exact."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    basis: list[list[Fraction]] = []
+    """Basis of the column span with pivot rows, echelonized top-down, exact.
+
+    Each column less its components along the basis so far vanishes or
+    joins the basis, its first nonzero row the pivot; at the end each basis
+    vector is 1 at its pivot and 0 at the others.  The elimination runs on
+    the matrix cleared to integers, fraction-free as in Bareiss (Math. Comp.
+    1968) but kept small by gcds: v is reduced by b, led by b_p at its pivot
+    p, as (b_p v - v_p b) / gcd(b_p, v_p), and each new or back-substituted
+    vector is made primitive.  Each integer vector is a nonzero multiple of
+    the rational one, so pivots and basis (each vector over its pivot entry,
+    the only Fractions formed) are the rational elimination's.  Once the
+    pivots fill every row the columns left are not read.
+    """
+    _, cols = _cleared(list(zip(*matrix)))
+    return _integer_echelon(cols)
+
+
+def _integer_echelon(cols) -> tuple[list[list[Fraction]], list[int]]:
+    """_column_echelon of the matrix with these integer columns, each a
+    sequence of one length."""
+    basis: list[list[int]] = []
     pivots: list[int] = []
-    for c in range(cols):
-        vec = [matrix[r][c] for r in range(rows)]
+
+    def reduce(vec, pv, b):
+        f, lead = vec[pv], b[pv]
+        g = math.gcd(f, lead)
+        f, lead = f // g, lead // g
+        return [lead * x - f * y for x, y in zip(vec, b)]
+
+    for vec in cols:
+        if len(pivots) == len(vec):
+            break
         for pv, b in zip(pivots, basis):
             if vec[pv]:
-                f = vec[pv]
-                vec = [x - f * y for x, y in zip(vec, b)]
-        lead = next((r for r in range(rows) if vec[r]), None)
-        if lead is None:
-            continue
-        f = vec[lead]
-        if f != 1:
-            vec = [x / f for x in vec]
-        basis.append(vec)
-        pivots.append(lead)
+                vec = reduce(vec, pv, b)
+        lead = next((r for r, x in enumerate(vec) if x), None)
+        if lead is not None:
+            basis.append(_primitive(vec))
+            pivots.append(lead)
     # back-substitute so each pivot row is zero in the other basis vectors
-    for k in range(len(basis)):
-        for kk in range(len(basis)):
-            if kk != k and basis[kk][pivots[k]]:
-                f = basis[kk][pivots[k]]
-                basis[kk] = [x - f * y for x, y in zip(basis[kk], basis[k])]
-    return basis, pivots
+    for k, pv in enumerate(pivots):
+        for kk, other in enumerate(basis):
+            if kk != k and other[pv]:
+                basis[kk] = _primitive(reduce(other, pv, basis[k]))
+    zero = Fraction(0)
+    return [[Fraction(x, b[pv]) if x else zero for x in b]
+            for pv, b in zip(pivots, basis)], pivots
+
+
+def _primitive(vec: list[int]) -> list[int]:
+    """vec over the gcd of its entries (vec nonzero)."""
+    g = math.gcd(*vec)
+    return vec if g == 1 else [x // g for x in vec]
 
 
 def _series_tails(spec: ModuleSpec, depth: Optional[int] = None, table=None):
@@ -540,11 +574,14 @@ def _restricted_tails(target: ModuleSpec, basis, pivots):
     basis B (as columns) cleared to integers, the restriction is
     R = (O B)[pivots], and d_B O B = B R certifies that the image is
     invariant.  R is the restricted operator times d_O d_B.  O B is formed
-    from O's nonzero entries only.  Returns the distinct nonzero
-    restrictions, the rows of those of the raising series (i < j) stacked,
-    and the scales d_O d_B.
+    from O's nonzero entries only.  When the pivots cover every row, the
+    reduced basis is the identity with its columns permuted, so d_B = 1,
+    R[a][b] = O[pivots[a]][pivots[b]] is read off O, and no row is left off
+    the pivots to fail.  Returns the distinct nonzero restrictions, the rows
+    of those of the raising series (i < j) stacked, and the scales d_O d_B.
     """
-    d_b, cols = _cleared(basis)
+    whole = len(pivots) == len(basis[0])
+    d_b, cols = (1, ()) if whole else _cleared(basis)
     b_rows = list(zip(*cols))
     pivot_set = set(pivots)
     # B is d_B times the identity on the pivot rows: only the others can fail
@@ -553,14 +590,18 @@ def _restricted_tails(target: ModuleSpec, basis, pivots):
     table = action_table(target)
     for i, j, tails in _series_tails(target, len(table[0]) - 1, table):
         for d_o, o in tails:
-            ob = mat_mul(o, b_rows)
-            restricted = tuple(ob[pv] for pv in pivots)
-            r_cols = list(zip(*restricted))
-            for q in off_pivot:
-                if ([sum(map(mul, b_rows[q], col)) for col in r_cols]
-                        != [d_b * x for x in ob[q]]):
-                    raise IntertwiningViolated(
-                        "image is not invariant under the target action")
+            if whole:
+                restricted = tuple(tuple([o[pv][q] for q in pivots])
+                                   for pv in pivots)
+            else:
+                ob = mat_mul(o, b_rows)
+                restricted = tuple(ob[pv] for pv in pivots)
+                r_cols = list(zip(*restricted))
+                for q in off_pivot:
+                    if ([sum(map(mul, b_rows[q], col)) for col in r_cols]
+                            != [d_b * x for x in ob[q]]):
+                        raise IntertwiningViolated(
+                            "image is not invariant under the target action")
             if any(any(row) for row in restricted):
                 ops[restricted] = None
                 if i < j:
@@ -569,10 +610,13 @@ def _restricted_tails(target: ModuleSpec, basis, pivots):
     return list(ops), [row for op in raising for row in op], scales
 
 
-def _span_dimension(vectors, ops=(), p: Optional[int] = None) -> int:
+def _span_dimension(vectors, ops=(), p: Optional[int] = None,
+                    cap: Optional[int] = None) -> int:
     """Dimension of the smallest ops-invariant space holding the vectors.
 
     Integer input is reduced mod p; with p None the arithmetic is exact.
+    With cap, a bound on the dimension known beforehand, the count stops
+    there: the result is min(dimension, cap) when cap bounds it.
     """
     if p:
         ops = [[[x % p for x in row] for row in op] for op in ops]
@@ -596,7 +640,7 @@ def _span_dimension(vectors, ops=(), p: Optional[int] = None) -> int:
         inv = pow(vec[lead], -1, p) if p else 1 / Fraction(vec[lead])
         new = [x * inv % p if p else x * inv for x in vec]
         rows[lead] = new
-        if len(rows) == len(new):
+        if len(rows) == (len(new) if cap is None else cap):
             break
         queue.extend((op, new) for op in ops)
     return len(rows)
@@ -604,8 +648,7 @@ def _span_dimension(vectors, ops=(), p: Optional[int] = None) -> int:
 
 def _singular_line(stacked, r: int) -> Optional[list[Fraction]]:
     """A vector spanning the kernel of the r-column rows, if that is a line."""
-    rows, pivots = _column_echelon(  # reduced basis of the row space
-        [[Fraction(row[c]) for row in stacked] for c in range(r)])
+    rows, pivots = _integer_echelon(stacked)  # reduced basis of the row space
     if len(pivots) != r - 1:
         return None
     free = next(c for c in range(r) if c not in pivots)
@@ -647,8 +690,9 @@ def image_analysis(spec: ModuleSpec, inter: Intertwiner) -> ImageReport:
 
     (b) and (c) run modulo the primes of _CLOSURE_PRIMES first, where a
     full closure, or rank r - 1, is proof (rank only drops mod p, and (a)
-    caps it at r - 1); otherwise exact rationals decide.  Dimensions above
-    512 are reported as not checked (irreducible=None).
+    caps it at r - 1, so the rank count stops there); otherwise exact
+    rationals decide.  Dimensions above 512 are reported as not checked
+    (irreducible=None).
     """
     basis, pivots = _column_echelon(inter.matrix)
     r = len(basis)
@@ -665,7 +709,7 @@ def image_analysis(spec: ModuleSpec, inter: Intertwiner) -> ImageReport:
     k = basis.index(xi) if xi in basis else None
     line = None
     if (k is not None and not any(row[k] for row in raising)
-            and any(_span_dimension(raising, (), p) == r - 1
+            and any(_span_dimension(raising, (), p, r - 1) == r - 1
                     for p in primes)):
         line = [int(q == k) for q in range(r)]  # (a), then (c) mod p
     if line is None:

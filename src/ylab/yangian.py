@@ -121,25 +121,6 @@ def wedge_basis(n: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, n + 1), k))
 
 
-def _wedge_moves(n: int, k: int, i: int, j: int
-                 ) -> list[tuple[int, int, int]]:
-    """The nonzero entries (row, col, +-1) of the gl_n unit E_ij on the
-    wedge basis of Lambda^k(C^n)."""
-    basis = wedge_basis(n, k)
-    if i == j:
-        return [(c, c, 1) for c, tup in enumerate(basis) if i in tup]
-    pos = {t: r for r, t in enumerate(basis)}
-    moves = []
-    for c, tup in enumerate(basis):
-        if j not in tup or i in tup:
-            continue
-        p = tup.index(j)
-        rest = tup[:p] + tup[p + 1:]
-        p2 = sum(1 for x in rest if x < i)
-        moves.append((pos[tuple(sorted(rest + (i,)))], c, (-1) ** (p + p2)))
-    return moves
-
-
 @lru_cache(maxsize=None)
 def _factor_table(n: int, d: int, z: Fraction) -> tuple[tuple, tuple]:
     """One factor's generator matrices in integers, on their nonzero support.
@@ -150,25 +131,34 @@ def _factor_table(n: int, d: int, z: Fraction) -> tuple[tuple, tuple]:
     order: den on the diagonal of T_ii, plus b times the moves of E_ij
     (d > 0) or of -E_ji (d < 0).  Lambda^0 has no moves, so d = 0 is the
     identity over 1.
+
+    One pass over the wedge basis makes every move: E_ij (i != j) sends a
+    column tup holding j at place p, and not i, to the row sorted(tup - j
+    + i) with sign (-1)^(p + #{x in tup - j : x < i}); E_jj fixes tup.
     """
     a, b = z.numerator, z.denominator
     den = (1,) if d == 0 else (-a, b) if d > 0 else (b - a, b)
-    size = comb(n, abs(d))
-    table = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            entries = {(r, r): den for r in range(size)} if i == j else {}
-            moves = (_wedge_moves(n, d, i, j) if d > 0
-                     else [(r, c, -s) for r, c, s
-                           in _wedge_moves(n, -d, j, i)])
-            for r, c, s in moves:
-                entries[r, c] = tuple(_iu_add(entries.get((r, c), ()),
-                                              [s * b]))
-            row.append(tuple((r, c, cs)
-                             for (r, c), cs in sorted(entries.items())))
-        table.append(tuple(row))
-    return den, tuple(table)
+    basis = wedge_basis(n, abs(d))
+    pos = {t: r for r, t in enumerate(basis)}
+    step = b if d > 0 else -b
+    grid = [[{} for _ in range(n)] for _ in range(n)]
+    for c, tup in enumerate(basis):
+        for i in range(n):
+            grid[i][i][c, c] = den
+        for p, j in enumerate(tup):
+            grid[j - 1][j - 1][c, c] = (den[0] + step, den[1])
+            rest = tup[:p] + tup[p + 1:]
+            for i in range(1, n + 1):
+                if i in tup:
+                    continue
+                r = pos[tuple(sorted(rest + (i,)))]
+                s = -step if (p + sum(x < i for x in rest)) % 2 else step
+                # E_ij's move lies in T_ij for d > 0, in T_ji for d < 0
+                into = grid[i - 1][j - 1] if d > 0 else grid[j - 1][i - 1]
+                into[r, c] = (s,)
+    return den, tuple(tuple(tuple((r, c, cs) for (r, c), cs
+                                  in sorted(entries.items()))
+                            for entries in row) for row in grid)
 
 
 def _ratfun_matrix(entries, den, dim: int) -> tuple[tuple[RatFun, ...], ...]:
@@ -197,25 +187,32 @@ def _coproduct(left, right, size: int) -> tuple:
 
     Entry (i, j) is sum_k left[i][k] (x) right[k][j], with (x) the Kronecker
     product and size the dimension of right's matrices; entries multiply as
-    integer polynomials.  Only products of two supported entries are formed,
-    and a sum that cancels leaves the support.
+    integer polynomials.  Only products of two supported entries are formed.
+    On tables built from _factor_table no two terms meet at one position,
+    so each supported entry is one product, never zero: a position fixes
+    each factor's change of gl_n weight, 0 on T_kk (diagonal) and
+    +-(e_k - e_l) on T_kl, l != k, and so the chain of indices i, ..., k, j
+    its term runs through.  A left entry's product with each distinct right
+    polynomial (a factor's are den, den +- b and +-b) is made once and
+    shared by the entries it fills.
     """
     n = len(left)
     table = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            acc: dict = {}
-            for k in range(n):
-                for r1, c1, x in left[i][k]:
-                    r1, c1 = r1 * size, c1 * size
-                    for r2, c2, y in right[k][j]:
-                        key = (r1 + r2, c1 + c2)
-                        p = _iu_mul(x, y)
-                        acc[key] = _iu_add(acc[key], p) if key in acc else p
-            row.append(tuple((r, c, tuple(cs))
-                             for (r, c), cs in sorted(acc.items()) if cs))
-        table.append(tuple(row))
+        row = [[] for _ in range(n)]  # j -> (r, c, coefficients)
+        for k in range(n):
+            for r1, c1, x in left[i][k]:
+                r1, c1 = r1 * size, c1 * size
+                products = {}
+                for entries, out in zip(right[k], row):
+                    for r2, c2, y in entries:
+                        p = products.get(y)
+                        if p is None:
+                            p = products[y] = tuple(_iu_mul(x, y))
+                        out.append((r1 + r2, c1 + c2, p))
+        for out in row:
+            out.sort()  # positions are distinct: C order, no tie
+        table.append(tuple(map(tuple, row)))
     return tuple(table)
 
 

@@ -11,8 +11,26 @@ it, against this grid.
 from functools import lru_cache
 from math import comb
 
-import ylab.yangian as ya
 from ylab.exact import ONE, ZERO, Poly, RatFun, _cleared, linear
+from ylab.yangian import wedge_basis
+
+
+def wedge_moves(n, k, i, j):
+    """The nonzero entries (row, col, +-1) of the gl_n unit E_ij on the
+    wedge basis of Lambda^k(C^n), one call per unit."""
+    basis = wedge_basis(n, k)
+    if i == j:
+        return [(c, c, 1) for c, tup in enumerate(basis) if i in tup]
+    pos = {t: r for r, t in enumerate(basis)}
+    moves = []
+    for c, tup in enumerate(basis):
+        if j not in tup or i in tup:
+            continue
+        p = tup.index(j)
+        rest = tup[:p] + tup[p + 1:]
+        p2 = sum(1 for x in rest if x < i)
+        moves.append((pos[tuple(sorted(rest + (i,)))], c, (-1) ** (p + p2)))
+    return moves
 
 
 @lru_cache(maxsize=None)
@@ -30,9 +48,9 @@ def reference_factor(n, d, z):
             if i == j:
                 for r in range(size):
                     mat[r][r] = den
-            moves = (ya._wedge_moves(n, d, i, j) if d > 0
+            moves = (wedge_moves(n, d, i, j) if d > 0
                      else [(r, c, -s) for r, c, s
-                           in ya._wedge_moves(n, -d, j, i)])
+                           in wedge_moves(n, -d, j, i)])
             for r, c, s in moves:
                 mat[r][c] = mat[r][c] + Poly.constant(s)
             row.append(tuple(map(tuple, mat)))

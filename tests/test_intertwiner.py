@@ -829,6 +829,138 @@ def test_image_large_dimension_not_checked():
     assert report.rank == 1024 and report.irreducible is None
 
 
+# ------------------------------------------- integer echelon and its shortcuts
+
+def reference_column_echelon(matrix):
+    """The Fraction column echelon that _column_echelon replaced: each
+    column less its components along the basis so far joins the basis,
+    scaled to 1 at its first nonzero row, then back-substitution."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    basis, pivots = [], []
+    for c in range(cols):
+        vec = [F(matrix[r][c]) for r in range(rows)]
+        for pv, b in zip(pivots, basis):
+            if vec[pv]:
+                f = vec[pv]
+                vec = [x - f * y for x, y in zip(vec, b)]
+        lead = next((r for r in range(rows) if vec[r]), None)
+        if lead is None:
+            continue
+        f = vec[lead]
+        basis.append([x / f for x in vec])
+        pivots.append(lead)
+    for k in range(len(basis)):
+        for kk in range(len(basis)):
+            if kk != k and basis[kk][pivots[k]]:
+                f = basis[kk][pivots[k]]
+                basis[kk] = [x - f * y for x, y in zip(basis[kk], basis[k])]
+    return basis, pivots
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small rational matrices, sparse enough for zero columns and unsorted
+    pivots, and half of them of rank at most k as a rows x k by k x cols
+    product."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    entry = st.sampled_from([F(0)] * 5 + [F(1), F(-1), F(2), F(1, 2),
+                                          F(-3, 4), F(5, 3)])
+    if draw(st.booleans()):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    k = draw(st.integers(0, 3))
+    a = [[draw(entry) for _ in range(k)] for _ in range(rows)]
+    b = [[draw(entry) for _ in range(cols)] for _ in range(k)]
+    return [[sum((a[r][t] * b[t][c] for t in range(k)), F(0))
+             for c in range(cols)] for r in range(rows)]
+
+
+@given(rational_matrices())
+@example([])
+@example([[F(0)] * 3] * 2)                               # zero
+@example([[F(0), F(1)], [F(1), F(0)]])                   # pivots [1, 0]
+@example([[F(0), F(2), F(1, 3)], [F(0), F(4), F(2, 3)]])  # zero column, rank 1
+@example([[F(1), F(0)], [F(0), F(1)], [F(2), F(3)]])     # full column rank
+@settings(max_examples=300, deadline=None)
+def test_integer_echelon_is_the_fraction_echelon(matrix):
+    assert itw._column_echelon(matrix) == reference_column_echelon(matrix)
+
+
+def test_integer_echelon_matches_on_the_canonical_operators():
+    unsorted = 0
+    for spec in dominant_battery():
+        matrix = build_I(spec).matrix
+        basis, pivots = itw._column_echelon(matrix)
+        assert (basis, pivots) == reference_column_echelon(matrix)
+        unsorted += pivots != sorted(pivots)
+    assert unsorted
+
+
+def general_restricted_tails(target, basis, pivots):
+    """_restricted_tails without its whole-module shortcut: R = (O B)[pivots]
+    and the invariance equations d_B O B = B R off the pivots, always."""
+    d_b, cols = _cleared(basis)
+    b_rows = list(zip(*cols))
+    off_pivot = [q for q in range(len(b_rows)) if q not in pivots]
+    ops, raising, scales = {}, {}, set()
+    table = action_table(target)
+    for i, j, tails in itw._series_tails(target, len(table[0]) - 1, table):
+        for d_o, o in tails:
+            ob = mat_mul(o, b_rows)
+            restricted = tuple(ob[pv] for pv in pivots)
+            for q in off_pivot:
+                assert [sum(map(mul, b_rows[q], col))
+                        for col in zip(*restricted)] == [d_b * x
+                                                         for x in ob[q]]
+            if any(any(row) for row in restricted):
+                ops[restricted] = None
+                if i < j:
+                    raising[restricted] = None
+                scales.add(d_o * d_b)
+    return list(ops), [row for op in raising for row in op], scales
+
+
+def battery_images():
+    """(spec, intertwiner) for the canonical operator and the identity of
+    every dominant spec of dim <= 16."""
+    for spec in dominant_battery():
+        if spec.dim <= 16:
+            yield spec, build_I(spec)
+            yield spec, Intertwiner(spec, spec, identity_matrix(spec.dim))
+
+
+def test_whole_module_restriction_is_the_general_one():
+    whole = 0
+    for spec, inter in battery_images():
+        basis, pivots = itw._column_echelon(inter.matrix)
+        if len(pivots) == spec.dim:
+            whole += pivots != sorted(pivots)
+            assert (itw._restricted_tails(inter.target_spec, basis, pivots)
+                    == general_restricted_tails(inter.target_spec, basis,
+                                                pivots))
+    assert whole  # some with the pivots out of order
+
+
+def test_capped_singular_rank_gives_the_same_verdicts():
+    # test (c) runs only after (a) has shown column k of the raising rows is
+    # zero, so their rank is at most r - 1 and the count may stop there
+    checked = 0
+    for spec, inter in battery_images():
+        basis, pivots = itw._column_echelon(inter.matrix)
+        r = len(basis)
+        raising = itw._restricted_tails(inter.target_spec, basis, pivots)[1]
+        h = highest_vector(inter.target_spec).coords
+        if list(h) not in basis or any(row[basis.index(list(h))]
+                                       for row in raising):
+            continue
+        for p in itw._CLOSURE_PRIMES + (None,):
+            full = itw._span_dimension(raising, (), p)
+            assert itw._span_dimension(raising, (), p, r - 1) == full
+            assert full <= r - 1
+        checked += 1
+    assert checked > 200
+
+
 # ---------------------------------------------------------------- properties
 
 @st.composite

@@ -4,7 +4,8 @@ import functools
 import importlib
 import pkgutil
 from fractions import Fraction as F
-from math import isqrt
+from itertools import product
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -177,6 +178,58 @@ def test_module_table_is_the_reference_coproduct_up_to_scale():
                     reference_action(spec, i, j)
             assert eigen_series(spec, i) == RatFun(
                 grid[i - 1][i - 1][col][col], poly_den)
+
+
+def coproduct_steps(spec):
+    """(left, right, size) for each coproduct step of spec's table."""
+    left = ya._factor_table(spec.n, spec.nu[0], spec.mu[0])[1]
+    for d, z in zip(spec.nu[1:], spec.mu[1:]):
+        right, size = ya._factor_table(spec.n, d, z)[1], comb(spec.n, abs(d))
+        yield left, right, size
+        left = ya._coproduct(left, right, size)
+
+
+def test_each_coproduct_position_takes_one_product():
+    """_coproduct lists one product per position and adds none: the terms
+    of sum_k left[i][k] (x) right[k][j] never meet, on the batteries and on
+    every three-row degree vector with n <= 3."""
+    specs = dict.fromkeys(rtt_battery() + dominant_battery()
+                          + mixed_battery())
+    specs.update(dict.fromkeys(
+        ModuleSpec.make(n, (F(1, 2), 0, 3), nu) for n in (1, 2, 3)
+        for nu in product(range(-n, n + 1), repeat=3)))
+    terms = 0
+    for spec in specs:
+        n = spec.n
+        for left, right, size in coproduct_steps(spec):
+            for i in range(n):
+                for j in range(n):
+                    seen = [(r1 * size + r2, c1 * size + c2)
+                            for k in range(n) for r1, c1, _ in left[i][k]
+                            for r2, c2, _ in right[k][j]]
+                    assert len(set(seen)) == len(seen)
+                    terms += len(seen)
+    assert terms > 50000
+
+
+@pytest.mark.parametrize("spec", [
+    ModuleSpec.make(2, (F(1, 2), 3, F(1, 2)), (1, -2, 1)),   # one factor twice
+    ModuleSpec.make(3, (0, 0, 0), (1, 1, 1)),                 # one factor thrice
+    ModuleSpec.make(3, (F(2, 3), F(2, 3), 1), (2, 2, -1)),
+    ModuleSpec.make(3, (F(-1, 2), F(-1, 2)), (-2, -2)),
+])
+def test_module_table_with_a_repeated_factor_is_the_reference(spec):
+    """Products are shared by the entries they fill and factor tables by
+    the rows that repeat them; the table is still the Fraction grid's."""
+    den, table = ya.action_table(spec)
+    ref_den, ref_table = cleared(spec)
+    scale = F(den[-1], ref_den[-1])
+    assert den == tuple(scale * x for x in ref_den)
+    assert table == tuple(tuple(tuple((r, c, tuple(scale * x for x in cs))
+                                      for r, c, cs in entries)
+                                for entries in row) for row in ref_table)
+    ya.action_table.cache_clear()
+    assert ya.action_table(spec) == (den, table)
 
 
 # ------------------------------------------------------------ module assembly
