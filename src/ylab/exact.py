@@ -12,7 +12,8 @@ reduced, positive denominator, arbitrary precision).  This module adds:
   * `_iu_*`, `_it_*` -- one kernel for Z[u] (int lists, lowest degree first,
                  no trailing zeros, [] is zero) and Z[u][t] (lists of those,
                  low t first), which the module table, the characteristic
-                 polynomials, intertwine_check and Poly's +, -, * share.
+                 polynomials, intertwine_check and Poly's +, -, * share;
+                 _iu_addto sums in place and leaves the trim to its caller.
 
 No floating point is used anywhere; equality is always structural equality of
 canonical forms.
@@ -95,7 +96,7 @@ def _iu_sub(a: Sequence, b: Sequence) -> list:
     return _iu_trim(out)
 
 
-def _iu_addto(acc: list, b: Sequence, x: int = 1) -> None:
+def _iu_addto(acc: list, b: Sequence, x: int) -> None:
     """acc += x * b in place, extending acc when b is longer; untrimmed."""
     if len(acc) < len(b):
         acc.extend([0] * (len(b) - len(acc)))
