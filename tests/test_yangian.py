@@ -213,8 +213,8 @@ def test_each_coproduct_position_takes_one_product():
 
 
 @pytest.mark.parametrize("spec", [
-    ModuleSpec.make(2, (F(1, 2), 3, F(1, 2)), (1, -2, 1)),   # one factor twice
-    ModuleSpec.make(3, (0, 0, 0), (1, 1, 1)),                 # one factor thrice
+    ModuleSpec.make(2, (F(1, 2), 3, F(1, 2)), (1, -2, 1)),  # one factor twice
+    ModuleSpec.make(3, (0, 0, 0), (1, 1, 1)),  # one factor thrice
     ModuleSpec.make(3, (F(2, 3), F(2, 3), 1), (2, 2, -1)),
     ModuleSpec.make(3, (F(-1, 2), F(-1, 2)), (-2, -2)),
 ])
