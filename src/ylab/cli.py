@@ -31,8 +31,7 @@ from .intertwiner import (NotDominant, NotReduced, ReducedWord,
                           _column_echelon, build_I, intertwine_check,
                           is_dominant, word_independence_check)
 from .jsonio import MalformedInput
-from .yangian import (ModuleSpec, eigen_closed, eigen_series, eigenform_check,
-                      rtt_check)
+from .yangian import ModuleSpec, eigen_series, eigenform_check, rtt_check
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -254,11 +253,7 @@ def _suite_detail(spec: ModuleSpec, suite: str,
         return {"words": report.words}
     if suite == "eigen":
         for i in range(1, spec.n + 1):
-            series = eigen_series(spec, i)
-            closed = eigen_closed(spec, i)
-            if series != closed:
-                raise ArithmeticError(
-                    f"eigenvalue {i}: series {series} != closed {closed}")
+            eigen_series(spec, i)  # raises unless it equals eigen_closed
         return {"values": spec.n}
     if suite == "lemma41":
         if spec.dim > 16:

@@ -12,14 +12,13 @@ is what `composite_check` verifies on a concrete module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import q
-from .glmops import LinearMap, operator_matrix
+from .glmops import LinearMap
 from .grassmann import DimensionMismatch, Grassmann, GrassmannElt, perm_longest
 from .intertwiner import Intertwiner, _module_matrix, build_I, check_dominant
-from .yangian import ModuleSpec
+from .yangian import ModuleSpec, highest_index
 
 
 class CompositeMismatch(ArithmeticError):
@@ -116,11 +115,27 @@ def R_eps_apply(spec: ModuleSpec, x: GrassmannElt) -> GrassmannElt:
     return _complement(spec.eps, x)
 
 
+def _flip(spec: ModuleSpec) -> list[tuple[int, int]]:
+    """The signed complementation as an index map, read from R_eps_apply:
+    per basis vector c, the (r, s) with image s times basis vector r."""
+    G = Grassmann(spec.m, spec.n)
+    index = {mask: r for r, mask in enumerate(G.basis_of_weight(spec.nubar))}
+    out = []
+    for mask in G.basis_of_weight(spec.abs_nu):
+        image = R_eps_apply(spec, GrassmannElt(G, {mask: 1}))
+        (mono, sign), = image.terms.items()
+        out.append((index[mono], sign))
+    return out
+
+
 def R_eps(spec: ModuleSpec) -> LinearMap:
     """Matrix of the signed complementation on the module weight space."""
-    G = Grassmann(spec.m, spec.n)
-    return operator_matrix(G, lambda v: R_eps_apply(spec, v),
-                           spec.abs_nu, spec.nubar)
+    flip = _flip(spec)
+    rows = [[0] * len(flip) for _ in flip]
+    for c, (r, sign) in enumerate(flip):
+        rows[r][c] = sign
+    return LinearMap(spec.abs_nu, spec.nubar,
+                     cleared=(1, tuple(map(tuple, rows))))
 
 
 def dual_iso(spec: ModuleSpec,
@@ -144,8 +159,7 @@ def dual_iso(spec: ModuleSpec,
                 "determinantal shifts do not match the negative rows")
     target = ModuleSpec.make(spec.n, spec.mu + det_mus,
                              spec.nubar + (-spec.n,) * len(neg))
-    return Intertwiner(spec, target,
-                       _module_matrix(R_eps(spec).matrix))
+    return Intertwiner(spec, target, _module_matrix(R_eps(spec).cleared[1]))
 
 
 # ------------------------------------------------------------- composite check
@@ -191,20 +205,6 @@ class CompositeReport:
     passed: bool
 
 
-def _signed_perm_inverse(matrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Invert a matrix with a single +/-1 entry per row and column."""
-    dim = len(matrix)
-    inv = [[Fraction(0)] * dim for _ in range(dim)]
-    used = set()
-    for r in range(dim):
-        hits = [c for c in range(dim) if matrix[r][c]]
-        if len(hits) != 1 or abs(matrix[r][hits[0]]) != 1 or hits[0] in used:
-            raise ArithmeticError("matrix is not a signed permutation")
-        used.add(hits[0])
-        inv[hits[0]][r] = matrix[r][hits[0]]
-    return tuple(tuple(row) for row in inv)
-
-
 def _parity_sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
@@ -217,36 +217,32 @@ def composite_check(spec: ModuleSpec) -> CompositeReport:
     determinantal factors unchanged), flips back on the factor-reversed
     module, and asserts the result equals the directly built operator
     times the product of the two flips' crossing signs — in particular
-    the sign is always +1 when the column count n is even.  Also asserts
-    the distinguished-vector behaviour of the three maps involved: the
-    crossing sign forward, the reversed crossing sign backward, +1 plain.
+    the sign is always +1 when the column count n is even.  With the flips
+    as index maps (see _flip), entry (r, c) is s_b(r) s_f(c) plain[pi_b(r)]
+    [pi_f(c)].  Also asserts each flip's sign on the distinguished vector
+    (whose image is basis vector 0): the crossing sign forward, the
+    reversed crossing sign backward.
     """
     check_dominant(spec)
     cnt = sign_counters(spec)
     direct = build_I(spec)
-    barred = ModuleSpec.make(spec.n, spec.mu, spec.nubar)
-    plain = build_I(barred)
-    forward = dual_iso(spec)
-    back = dual_iso(spec.permuted(perm_longest(spec.m)),
-                    det_mus=forward.target_spec.mu[spec.m:])
-    lifted = Intertwiner(forward.target_spec, back.target_spec, plain.matrix)
-    inverse_back = Intertwiner(back.target_spec, back.spec,
-                               _signed_perm_inverse(back.matrix))
-    composite = inverse_back.compose(lifted.compose(forward))
+    plain = build_I(ModuleSpec.make(spec.n, spec.mu, spec.nubar)).matrix
+    reverse = spec.permuted(perm_longest(spec.m))
+    forward, back = _flip(spec), _flip(reverse)
 
     fwd_sign = _parity_sign(hv_flip_exponent(spec))
-    rev_sign = _parity_sign(hv_flip_exponent(back.spec))
+    rev_sign = _parity_sign(hv_flip_exponent(reverse))
     sign = fwd_sign * rev_sign
-    want = tuple(tuple(sign * v for v in row) for row in direct.matrix)
-    if composite.matrix != want:
+    if any(sb * sf * plain[rb][cf] != sign * x
+           for (rb, sb), row in zip(back, direct.matrix)
+           for (cf, sf), x in zip(forward, row)):
         raise CompositeMismatch(
             f"conjugated operator is not {sign:+d} times the direct one "
             f"on {spec}")
-    for inter, scale, label in (
-            (forward, fwd_sign, "forward complementation"),
-            (back, rev_sign, "reversed complementation"),
-            (plain, 1, "plain canonical operator")):
-        if inter.hv_scale() != scale:
+    for flip, source, scale, label in (
+            (forward, spec, fwd_sign, "forward complementation"),
+            (back, reverse, rev_sign, "reversed complementation")):
+        if flip[highest_index(source)] != (0, scale):
             raise CompositeMismatch(
                 f"{label} does not scale the distinguished vector by {scale}")
     return CompositeReport(spec, cnt, sign, fwd_sign, rev_sign, True)

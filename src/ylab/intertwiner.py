@@ -152,22 +152,19 @@ def _module_matrix(rows, den: int = 1) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _relabel(sigma: Sequence[int], n: int,
-             nu: Sequence[int]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The row relabeling x_{ai} -> x_{sigma(a) i} from weight nu, cleared:
-    the signed permutation sending the product basis vector (t_1, ..., t_m)
-    to the one with t_a in factor sigma(a).  Restoring row-major order moves
-    row blocks a < b past each other where sigma inverts them, so the sign
-    is (-1)^(sum of nu_a nu_b over those pairs) for every basis vector."""
+             nu: Sequence[int]) -> tuple[int, list[int]]:
+    """The row relabeling x_{ai} -> x_{sigma(a) i} from weight nu, as (s,
+    index): the product basis vector c = (t_1, ..., t_m) goes to s times
+    the one with t_a in factor sigma(a), index[c].  Restoring row-major
+    order moves row blocks a < b past each other where sigma inverts them,
+    so s = (-1)^(sum of nu_a nu_b over those pairs) for every c."""
     sign = (-1) ** sum(nu[a] * nu[b] for a, b in itertools.combinations(
         range(len(nu)), 2) if sigma[a] > sigma[b])
     dims = [math.comb(n, d) for d in nu]
     cod = perm_apply(sigma, dims)
     stride = [math.prod(cod[s:]) for s in sigma]  # factor a's, at sigma(a)
-    size = math.prod(dims)
-    rows = [[0] * size for _ in range(size)]
-    for c, ks in enumerate(itertools.product(*map(range, dims))):
-        rows[sum(map(mul, ks, stride))][c] = sign
-    return 1, tuple(map(tuple, rows))
+    return sign, [sum(map(mul, ks, stride))
+                  for ks in itertools.product(*map(range, dims))]
 
 
 # ----------------------------------------------------------------- Intertwiner
@@ -225,12 +222,11 @@ def is_dominant(spec: ModuleSpec) -> bool:
 
 
 class _RootFactors(dict):
-    """A dominant spec's factors of its canonical operator, built on first use.
+    """A dominant spec's series factors of its canonical operator, lazily.
 
-    Key (a, b) holds the series factor of that root pair (X on weight
-    lambda-bar when nubar_a >= nubar_b, else Y on weight mu; signed when any
-    degree is negative), key None the row relabeling by sigma_0, each cleared
-    as (d, d * rows).  No factor depends on the word.
+    Key (a, b) holds the factor of that root pair (X on weight lambda-bar
+    when nubar_a >= nubar_b, else Y on weight mu; signed when any degree is
+    negative), cleared as (d, d * rows).  No factor depends on the word.
     """
 
     def __init__(self, spec: ModuleSpec):
@@ -240,15 +236,12 @@ class _RootFactors(dict):
 
     def __missing__(self, pair):
         spec = self.spec
-        G, weight = Grassmann(spec.m, spec.n), spec.abs_nu
-        if pair is None:
-            op = _relabel(perm_longest(spec.m), spec.n, weight)
-        else:
-            a, b = pair
-            eps = spec.eps if any(d < 0 for d in spec.nu) else None
-            x_kind = spec.nubar[a - 1] >= spec.nubar[b - 1]
-            kind, w = ("X", spec.lambar) if x_kind else ("Y", spec.mu)
-            op = XY_op(G, kind, w, a, b, weight, eps=eps).cleared
+        a, b = pair
+        eps = spec.eps if any(d < 0 for d in spec.nu) else None
+        x_kind = spec.nubar[a - 1] >= spec.nubar[b - 1]
+        kind, w = ("X", spec.lambar) if x_kind else ("Y", spec.mu)
+        op = XY_op(Grassmann(spec.m, spec.n), kind, w, a, b, spec.abs_nu,
+                   eps=eps).cleared
         self[pair] = op
         return op
 
@@ -260,33 +253,40 @@ class _RootFactors(dict):
 
 
 def _word_products(factors: _RootFactors, orders):
-    """Yield (s, R f_1 ... f_k) per pair sequence orders[s], in integers,
-    walking them in sorted order with a stack of prefix products."""
-    stack, last = [factors[None][1]], ()
-    dim = len(stack[0])
+    """Yield (s, f_1 ... f_k) per pair sequence orders[s], in integers (the
+    identity for the empty one), walking them in sorted order with a stack
+    of prefix products."""
+    stack, last = [], ()
+    dim = factors.spec.dim
     for pairs, s in sorted(zip(orders, itertools.count())):
         k = next((t for t, pair in enumerate(last) if pair != pairs[t]), 0)
-        del stack[k + 1:]  # keep R and the products of the shared prefix
+        del stack[k:]  # keep the products of the shared prefix
         for pair in pairs[k:]:
-            stack.append(terms_mul(stack[-1], factors.terms(pair), dim))
+            stack.append(terms_mul(stack[-1], factors.terms(pair), dim)
+                         if stack else factors[pair][1])
         last = pairs
-        yield s, stack[-1]
+        yield s, stack[-1] if stack else tuple(
+            tuple(int(r == c) for c in range(dim)) for r in range(dim))
 
 
 def _assemble(factors: _RootFactors, orders) -> tuple[Intertwiner, int]:
-    """The operator along orders[0]; the first s with another product, or 0."""
+    """The operator R f_1 ... f_k along orders[0], R the relabeling by
+    sigma_0; the first s with another product, or 0."""
     first = {}  # product -> the first s giving it
     for s, total in _word_products(factors, orders):
         first[total] = min(first.get(total, s), s)
     ranked = sorted(first, key=first.get)
-    spec, den = factors.spec, math.prod(d for d, _ in factors.values())
+    spec = factors.spec
+    sign, index = _relabel(perm_longest(spec.m), spec.n, spec.abs_nu)
+    den = sign * math.prod(d for d, _ in factors.values())
     # the sign uses the original signed degrees, not the shifted ones: that
     # is the only choice normalizing the distinguished vector for odd n
     n_exp = sum(spec.nu[a] * spec.nu[b]
                 for a in range(spec.m) for b in range(a + 1, spec.m))
     target = spec.permuted(perm_longest(spec.m))
+    order = sorted(range(spec.dim), key=index.__getitem__)  # R's sources
     out = Intertwiner(spec, target, _module_matrix(
-        ranked[0], -den if n_exp % 2 else den))
+        [ranked[0][c] for c in order], -den if n_exp % 2 else den))
     if out.hv_scale() != 1:
         raise ArithmeticError(
             "construction failed to normalize the distinguished vector")
@@ -337,9 +337,10 @@ def elementary(kind: str, spec: ModuleSpec, a: int) -> Intertwiner:
             f"weight difference at ({a}, {a + 1}) is {diff}, in -1, -2, ...")
     d, factor = XY_op(Grassmann(spec.m, spec.n), "X" if kind == "I_a" else "Y",
                       w, a, a + 1, spec.abs_nu).cleared
-    swap = _relabel(sig, spec.n, spec.abs_nu)[1]
+    sign, index = _relabel(sig, spec.n, spec.abs_nu)
+    rows = [factor[c] for c in sorted(range(spec.dim), key=index.__getitem__)]
     return Intertwiner(spec, spec.permuted(sig),
-                       _module_matrix(mat_mul(swap, factor), d))
+                       _module_matrix(rows, sign * d))
 
 
 # ------------------------------------------------------------------- checking
@@ -460,19 +461,12 @@ def _integer_echelon(cols) -> tuple[list[list[Fraction]], list[int]]:
     sequence of one length."""
     basis: list[list[int]] = []
     pivots: list[int] = []
-
-    def reduce(vec, pv, b):
-        f, lead = vec[pv], b[pv]
-        g = math.gcd(f, lead)
-        f, lead = f // g, lead // g
-        return [lead * x - f * y for x, y in zip(vec, b)]
-
     for vec in cols:
         if len(pivots) == len(vec):
             break
         for pv, b in zip(pivots, basis):
             if vec[pv]:
-                vec = reduce(vec, pv, b)
+                vec = _eliminate(vec, pv, b)
         lead = next((r for r, x in enumerate(vec) if x), None)
         if lead is not None:
             basis.append(_primitive(vec))
@@ -481,10 +475,19 @@ def _integer_echelon(cols) -> tuple[list[list[Fraction]], list[int]]:
     for k, pv in enumerate(pivots):
         for kk, other in enumerate(basis):
             if kk != k and other[pv]:
-                basis[kk] = _primitive(reduce(other, pv, basis[k]))
+                basis[kk] = _primitive(_eliminate(other, pv, basis[k]))
     zero = Fraction(0)
     return [[Fraction(x, b[pv]) if x else zero for x in b]
             for pv, b in zip(pivots, basis)], pivots
+
+
+def _eliminate(vec: list[int], pv: int, b: list[int]) -> list[int]:
+    """The fraction-free step: vec less its component along b, which leads
+    at pv, as (b_pv vec - vec_pv b) / gcd(b_pv, vec_pv), so zero at pv."""
+    f, lead = vec[pv], b[pv]
+    g = math.gcd(f, lead)
+    f, lead = f // g, lead // g
+    return [lead * x - f * y for x, y in zip(vec, b)]
 
 
 def _primitive(vec: list[int]) -> list[int]:
@@ -614,13 +617,14 @@ def _span_dimension(vectors, ops=(), p: Optional[int] = None,
                     cap: Optional[int] = None) -> int:
     """Dimension of the smallest ops-invariant space holding the vectors.
 
-    Integer input is reduced mod p; with p None the arithmetic is exact.
-    With cap, a bound on the dimension known beforehand, the count stops
-    there: the result is min(dimension, cap) when cap bounds it.
+    Integer input is reduced mod p; with p None the arithmetic is exact, in
+    integers, each row reduced by _eliminate and made primitive.  With cap,
+    a bound on the dimension known beforehand, the count stops there: the
+    result is min(dimension, cap) when cap bounds it.
     """
     if p:
         ops = [[[x % p for x in row] for row in op] for op in ops]
-    rows: dict[int, list] = {}  # pivot -> echelon row with 1 at the pivot
+    rows: dict[int, list[int]] = {}  # pivot -> echelon row
     # (op, vector) pairs whose product is still due: an image is formed only
     # when popped, so none is formed once the span is full
     queue = [(None, vec) for vec in vectors]
@@ -631,18 +635,22 @@ def _span_dimension(vectors, ops=(), p: Optional[int] = None,
         for pv, row in rows.items():
             f = vec[pv] % p if p else vec[pv]
             if f:
-                vec = [x - f * y for x, y in zip(vec, row)]
+                vec = ([x - f * y for x, y in zip(vec, row)] if p
+                       else _eliminate(vec, pv, row))
         if p:
             vec = [x % p for x in vec]
         lead = next((i for i, x in enumerate(vec) if x), None)
         if lead is None:
             continue
-        inv = pow(vec[lead], -1, p) if p else 1 / Fraction(vec[lead])
-        new = [x * inv % p if p else x * inv for x in vec]
-        rows[lead] = new
-        if len(rows) == (len(new) if cap is None else cap):
+        if p:
+            inv = pow(vec[lead], -1, p)
+            vec = [x * inv % p for x in vec]
+        else:
+            vec = _primitive(vec)
+        rows[lead] = vec
+        if len(rows) == (len(vec) if cap is None else cap):
             break
-        queue.extend((op, new) for op in ops)
+        queue.extend((op, vec) for op in ops)
     return len(rows)
 
 
@@ -691,8 +699,8 @@ def image_analysis(spec: ModuleSpec, inter: Intertwiner) -> ImageReport:
     (b) and (c) run modulo the primes of _CLOSURE_PRIMES first, where a
     full closure, or rank r - 1, is proof (rank only drops mod p, and (a)
     caps it at r - 1, so the rank count stops there); otherwise exact
-    rationals decide.  Dimensions above 512 are reported as not checked
-    (irreducible=None).
+    integer elimination decides.  Dimensions above 512 are reported as not
+    checked (irreducible=None).
     """
     basis, pivots = _column_echelon(inter.matrix)
     r = len(basis)

@@ -1,7 +1,7 @@
 """Fraction reference for the canonical operator's factors, kept for the tests.
 
 The library builds each rational series factor in integers (glmops.XY_op),
-each row relabeling as a signed permutation (intertwiner._relabel), and
+each row relabeling as a signed index map (intertwiner._relabel), and
 reduces each product-form eigenvalue candidate by cancelling shared linear
 factors (yangian.eigen_candidates).  These are the constructions they
 replaced: every operator run on Fraction GrassmannElts and materialized as
@@ -105,6 +105,15 @@ def reference_relabel(G, sigma, nu):
     """The matrix of sym_act from weight nu, on Fraction elements."""
     return reference_matrix(G, lambda x: sym_act(G, sigma, x), nu,
                             perm_apply(sigma, nu))
+
+
+def signed_permutation_rows(images):
+    """The integer matrix with column c equal to s times basis vector r,
+    for each image (r, s) of the signed permutation."""
+    rows = [[0] * len(images) for _ in images]
+    for c, (r, s) in enumerate(images):
+        rows[r][c] = s
+    return tuple(map(tuple, rows))
 
 
 def reference_candidates(spec):

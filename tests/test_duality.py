@@ -8,11 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ylab.duality as dual
-from reference_factors import derive, sym_act
+from reference_factors import derive, signed_permutation_rows, sym_act
+from ylab.battery import mixed_battery
 from ylab.duality import (CompositeMismatch, R_eps, R_eps_apply, R_map,
                           SignCounters, composite_check, dual_iso,
                           hv_flip_exponent, iso_covector, sign_counters)
-from ylab.glmops import E_op, EE_op
+from ylab.glmops import E_op, EE_op, operator_matrix
 from ylab.grassmann import DimensionMismatch, Grassmann, perm_longest
 from ylab.intertwiner import NotDominant, intertwine_check
 from ylab.yangian import ModuleSpec, highest_vector
@@ -222,6 +223,18 @@ def test_signed_flip_matrix_is_signed_permutation():
             assert len(hits) == 1 and abs(hits[0]) == 1
 
 
+def test_signed_flip_index_form_is_the_operator_matrix():
+    # the flip read once per basis monomial, as (image index, sign), against
+    # R_eps_apply materialized on every basis monomial
+    for spec in mixed_battery():
+        G = Grassmann(spec.m, spec.n)
+        want = operator_matrix(G, lambda v: R_eps_apply(spec, v),
+                               spec.abs_nu, spec.nubar)
+        assert (1, signed_permutation_rows(dual._flip(spec))) == \
+            want.cleared, spec
+        assert R_eps(spec) == want
+
+
 @pytest.mark.parametrize("spec,want", [
     (spec_of(2, (0, 0), (1, -1)), 1),
     (spec_of(3, (0, -2), (1, -1)), 1),
@@ -369,6 +382,25 @@ def test_composite_detects_sign_corruption(monkeypatch):
     # composite sign accidentally right, but the flips themselves are not
     with pytest.raises(CompositeMismatch):
         composite_check(spec_of(2, (0, 0), (1, -1)))
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_composite_detects_one_negated_flip_image(monkeypatch, reverse):
+    # negating the image of any one basis monomial under either flip, the
+    # distinguished one or another, must trip a check
+    spec = spec_of(3, (0, -2), (1, -1))
+    flipped = spec.permuted(perm_longest(2)) if reverse else spec
+    G = Grassmann(2, 3)
+    real = dual.R_eps_apply
+    for mask in G.basis_of_weight(flipped.abs_nu):
+        def negated(s, x, mask=mask):
+            image = real(s, x)
+            if s == flipped and x.terms == {mask: 1}:
+                return image.scale(-1)
+            return image
+        monkeypatch.setattr(dual, "R_eps_apply", negated)
+        with pytest.raises(CompositeMismatch):
+            composite_check(spec)
 
 
 @given(mixed_specs().filter(lambda s: s.m <= 2))

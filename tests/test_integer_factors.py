@@ -10,13 +10,13 @@ import pytest
 import ylab.yangian as ya
 from reference_factors import (reference_candidates, reference_integer_samples,
                                reference_matrix, reference_relabel,
-                               reference_XY, sym_act)
+                               reference_XY, signed_permutation_rows, sym_act)
 from ylab.battery import dominant_battery, rtt_battery, word_battery
 from ylab.exact import _cleared
 from ylab.glmops import E_op, ForbiddenWeightDifference, XY_op, operator_matrix
 from ylab.grassmann import (DimensionMismatch, Grassmann, perm_apply,
                             perm_longest)
-from ylab.intertwiner import _RootFactors
+from ylab.intertwiner import _RootFactors, _relabel
 from ylab.yangian import ModuleSpec
 
 
@@ -46,14 +46,17 @@ def assert_same_factor(G, kind, w, a, b, nu, eps):
 
 @pytest.mark.parametrize("spec", dominant_battery(), ids=str)
 def test_root_factors_match_reference_on_battery(spec):
-    """Every factor _RootFactors clears, sigma_0 and the series of the kind
-    its branch rule picks, is _cleared of the reference; both kinds of
-    every pair match the reference too, signed when a degree is negative."""
+    """sigma_0's relabeling, expanded from its index form, and every
+    series factor _RootFactors clears, of the kind its branch rule picks,
+    are _cleared of the reference; both kinds of every pair match the
+    reference too, signed when a degree is negative."""
     G, weight = Grassmann(spec.m, spec.n), spec.abs_nu
     eps = spec.eps if any(d < 0 for d in spec.nu) else None
     factors = _RootFactors(spec)
     sigma0 = perm_longest(spec.m)
-    assert factors[None] == cleared(reference_relabel(G, sigma0, weight))
+    sign, index = _relabel(sigma0, spec.n, weight)
+    assert (1, signed_permutation_rows([(r, sign) for r in index])) == \
+        cleared(reference_relabel(G, sigma0, weight))
     for a in range(1, spec.m):
         for b in range(a + 1, spec.m + 1):
             for kind, w in (("X", spec.lambar), ("Y", spec.mu)):

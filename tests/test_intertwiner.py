@@ -13,7 +13,7 @@ from reference_basis import module_positions
 from reference_coproduct import reference_table
 from reference_elementary import (compose_elementary,
                                   elementary_composition_check)
-from reference_factors import reference_relabel
+from reference_factors import reference_relabel, signed_permutation_rows
 from ylab.battery import (KERNEL_SPEC, dominant_battery, mixed_battery,
                           rtt_battery, word_battery)
 from ylab.duality import dual_iso, hv_flip_exponent
@@ -218,16 +218,19 @@ def test_build_rejects_nondominant():
 # ------------------------------------------------------- elementary operators
 
 def test_relabel_is_the_reference_signed_permutation():
-    """The closed-form relabeling equals the matrix of the algebra
-    automorphism on every basis monomial, for every permutation of m <= 4
-    rows and every weight with n <= 3: sigma_0, which build_I reads, and
-    the adjacent swaps of elementary among them."""
+    """The closed-form relabeling, expanded from its index form, equals
+    the matrix of the algebra automorphism on every basis monomial, for
+    every permutation of m <= 4 rows and every weight with n <= 3:
+    sigma_0, which build_I reads, and the adjacent swaps of elementary
+    among them."""
     for m, n in product((1, 2, 3, 4), (1, 2, 3)):
         G = Grassmann(m, n)
         for sigma in permutations(range(1, m + 1)):
             for nu in product(range(n + 1), repeat=m):
                 d, rows = _cleared(reference_relabel(G, sigma, nu))
-                assert itw._relabel(sigma, n, nu) == \
+                sign, index = itw._relabel(sigma, n, nu)
+                images = [(r, sign) for r in index]
+                assert (1, signed_permutation_rows(images)) == \
                     (d, tuple(map(tuple, rows))), (sigma, nu)
 
 
@@ -455,9 +458,11 @@ def test_word_independence_shares_prefix_products(monkeypatch):
         monkeypatch.setattr(itw, name, counted)
     spec = word_battery()[4][1]
     assert word_independence_check(spec).words == 16
-    # 65 distinct nonempty prefixes of the 16 pair sequences, not 16 * 6,
-    # each by a factor whose nonzero terms are listed once per factor
-    assert calls == {"terms_mul": 65, "row_terms": 6, "_module_matrix": 1}
+    # 65 distinct nonempty prefixes of the 16 pair sequences, not 16 * 6:
+    # the 3 of length one are their factors, and each of the other 62 is
+    # one product, by a factor whose nonzero terms are listed once per
+    # factor; the relabeling by sigma_0 is no product
+    assert calls == {"terms_mul": 62, "row_terms": 6, "_module_matrix": 1}
 
 
 # The three four-row dim-8 word checks of the cli-cold benchmark's tail.
@@ -959,6 +964,72 @@ def test_capped_singular_rank_gives_the_same_verdicts():
             assert full <= r - 1
         checked += 1
     assert checked > 200
+
+
+def reference_span_dimension(vectors, ops=(), p=None, cap=None):
+    """The _span_dimension whose exact path the integer one replaced: every
+    echelon row scaled to 1 at its pivot, in Fractions when p is None."""
+    if p:
+        ops = [[[x % p for x in row] for row in op] for op in ops]
+    rows = {}
+    queue = [(None, vec) for vec in vectors]
+    while queue:
+        op, vec = queue.pop()
+        if op is not None:
+            vec = [sum(map(mul, row, vec)) for row in op]
+        for pv, row in rows.items():
+            f = vec[pv] % p if p else vec[pv]
+            if f:
+                vec = [x - f * y for x, y in zip(vec, row)]
+        if p:
+            vec = [x % p for x in vec]
+        lead = next((i for i, x in enumerate(vec) if x), None)
+        if lead is None:
+            continue
+        inv = pow(vec[lead], -1, p) if p else 1 / F(vec[lead])
+        new = [x * inv % p if p else x * inv for x in vec]
+        rows[lead] = new
+        if len(rows) == (len(new) if cap is None else cap):
+            break
+        queue.extend((op, new) for op in ops)
+    return len(rows)
+
+
+@st.composite
+def span_inputs(draw):
+    """(vectors, ops, p, cap) on dimension d <= 6: half the vector lists of
+    rank at most k as combinations of k vectors, and each operator dense,
+    strictly upper triangular (nilpotent) or an outer product (rank 1)."""
+    d = draw(st.integers(1, 6))
+    entry = st.sampled_from([0] * 4 + [1, -1, 2, -3, 6])
+    vector = st.lists(entry, min_size=d, max_size=d)
+    vectors = draw(st.lists(vector, max_size=3))
+    if vectors and draw(st.booleans()):
+        vectors = [[sum(draw(entry) * v[q] for v in vectors)
+                    for q in range(d)] for _ in range(draw(st.integers(1, 4)))]
+    ops = []
+    for kind in draw(st.lists(st.sampled_from("dnl"), max_size=3)):
+        if kind == "l":
+            a, b = draw(vector), draw(vector)
+            ops.append([[x * y for y in b] for x in a])
+        else:
+            ops.append([[draw(entry) if kind == "d" or c > r else 0
+                         for c in range(d)] for r in range(d)])
+    p = draw(st.sampled_from([None, None, 7, 1_000_003]))
+    cap = draw(st.none() | st.integers(1, d))
+    return vectors, ops, p, cap
+
+
+@given(span_inputs())
+@example(([[0, 0, 1]], [[[0, 1, 0], [0, 0, 1], [0, 0, 0]]], None, None))
+@example(([[2, 4, 6], [1, 2, 3], [0, 0, 0]], [], None, None))
+@example(([[1, 0, 0]], [[[0, 0, 0], [3, 0, 0], [0, 2, 0]]], None, 2))
+@settings(max_examples=300, deadline=None)
+def test_span_dimension_is_the_fraction_closure(args):
+    """The integer closure (exact) and the unchanged mod-p one against the
+    Fraction reference, on rank-deficient vectors and on nilpotent and
+    rank-one operators."""
+    assert itw._span_dimension(*args) == reference_span_dimension(*args)
 
 
 # ---------------------------------------------------------------- properties
