@@ -16,15 +16,18 @@ for every spec of dim <= 64, on `build_I(spec)` and on the identity
 operator: the rank, the image basis and the verdict, or the exception
 raised.  With the closure primes emptied (`intertwiner._CLOSURE_PRIMES =
 ()`) no verdict is proved mod p, so it reports both again for every spec
-of dim <= 16, decided by the exact elimination alone.  The CLI prints no
-matrix of the elementary operators or the complementation either, so the
-child also gives the `elementary` `I_a`, `J_a` and `J_a_prime` matrices,
-or the exception raised, for every a on the dominant specs whose degrees
-are all nonnegative, and the `R_eps` and `dual_iso` matrices (with the
-latter's target spec) on the mixed battery.  These are compared like the
-jobs.  The first difference is printed and the exit code is 1; with none
-it prints the counts and exits 0.  A REV git cannot export, or a tree
-whose run fails, exits 2.  It takes about 30 s on a 2-core machine.
+of dim <= 16, decided by the exact elimination alone.  For those specs of
+dim <= 16 it also gives `laurent_tail_matrices(spec)`, the Laurent tails
+at the default depth: each matrix's shape, the types of its entries and
+its nonzero entries.  The CLI prints no matrix of the elementary
+operators or the complementation either, so the child also gives the
+`elementary` `I_a`, `J_a` and `J_a_prime` matrices, or the exception
+raised, for every a on the dominant specs whose degrees are all
+nonnegative, and the `R_eps` and `dual_iso` matrices (with the latter's
+target spec) on the mixed battery.  These are compared like the jobs.
+The first difference is printed and the exit code is 1; with none it
+prints the counts and exits 0.  A REV git cannot export, or a tree whose
+run fails, exits 2.  It takes about 30 s on a 2-core machine.
 """
 
 import argparse
@@ -84,6 +87,22 @@ def image_report(spec, inter) -> list:
             report.irreducible]
 
 
+def tails_report(spec) -> list:
+    """laurent_tail_matrices(spec): per matrix its row count, row lengths,
+    entry types and nonzero entries [r, c, value], or the exception
+    raised."""
+    from ylab.intertwiner import laurent_tail_matrices
+
+    try:
+        mats = laurent_tail_matrices(spec)
+    except Exception as exc:
+        return [f"raised {type(exc).__name__}: {exc}"]
+    return [[len(mat), sorted({len(row) for row in mat}),
+             sorted({type(x).__name__ for row in mat for x in row}),
+             [[r, c, str(x)] for r, row in enumerate(mat)
+              for c, x in enumerate(row) if x]] for mat in mats]
+
+
 def matrix_report(build, *args) -> list:
     """The target (a spec, or a map's weights) and the matrix of
     build(*args) as strings, or the exception raised."""
@@ -97,8 +116,9 @@ def matrix_report(build, *args) -> list:
 
 def child() -> None:
     """Run the argv list on stdin through cli.main, and image_analysis,
-    elementary, R_eps and dual_iso on the listed specs; print the results,
-    the reports as {name: [[label, report], ...]}."""
+    laurent_tail_matrices, elementary, R_eps and dual_iso on the listed
+    specs; print the results, the reports as {name: [[label, report],
+    ...]}."""
     from fractions import Fraction
 
     from ylab import cli, intertwiner
@@ -139,6 +159,9 @@ def child() -> None:
         "flips": [[f"{build.__name__} on {spec}", matrix_report(build, spec)]
                   for spec in spec_lists["flips"]
                   for build in (R_eps, dual_iso)],
+        "laurent_tail_matrices": [[f"the tails of {spec}", tails_report(spec)]
+                                  for spec in spec_lists["images"]
+                                  if spec.dim <= 16],
     }
     # no verdict is proved mod p: the exact elimination decides every one
     intertwiner._CLOSURE_PRIMES = ()

@@ -124,7 +124,7 @@ def _read_stdin_json() -> object:
     raw = sys.stdin.read()
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a decode error, or an integer over 4300 digits
         raise MalformedInput(f"stdin is not JSON: {exc}") from exc
 
 

@@ -500,45 +500,46 @@ def _series_tails(spec: ModuleSpec, depth: Optional[int] = None, table=None):
     """Yield (i, j, tails) per series T_ij(u), 0-based, nonzero terms only.
 
     The tails are the coefficients of u^-t, t = 1..depth, that are not
-    zero, each as the integer pair (L, L times the coefficient) with L
-    least, which is what _cleared gives for it.  They come from
-    action_table's integers on its nonzero support: with an entry p, the
-    denominator den = sum_s a_s u^(k-s), d = a_0 its leading coefficient,
-    and N_t the coefficient of u^(k-t) in p,
+    zero, each as (L, {(r, c): L times the coefficient}) on its nonzero
+    entries with L least, which is what _cleared gives for it.  They come
+    from action_table's integers on its nonzero support: with an entry p,
+    the denominator den = sum_s a_s u^(k-s), d = a_0 its leading
+    coefficient, and N_t the coefficient of u^(k-t) in p,
       S_t = d^t N_t - sum_{s=1..k} a_s d^(s-1) S_(t-s)
     is an integer and the u^-t coefficient of p / den is S_t / d^(t+1).
-    Each tail is divided once by gcd(d^(t+1), all of its entries), so the
-    pairs do not depend on the table's scale.  A caller that has read
-    action_table(spec) passes it as table.
+    The recurrence runs once per distinct numerator p of the table, which
+    its entries share.  Each tail is divided once by gcd(d^(t+1), all of
+    its entries), so the pairs do not depend on the table's scale.  A
+    caller that has read action_table(spec) passes it as table.
     """
     if depth is None:
         depth = 4 * spec.m + 2
     den, support = action_table(spec) if table is None else table
-    dim, n = spec.dim, spec.n
     k = len(den) - 1
     d = den[-1]
     power = [d ** t for t in range(depth + 2)]
     weights = [(s, den[k - s] * power[s - 1]) for s in range(1, k + 1)]
-    for i in range(n):
-        for j in range(n):
+    terms = {}  # numerator -> [(t, S_t)] for t >= 1 and S_t nonzero
+    for cs in {cs for row in support for entries in row for *_, cs in entries}:
+        seq = []
+        for t in range(depth + 1):
+            v = power[t] * cs[k - t] if 0 <= k - t < len(cs) else 0
+            v -= sum(w * seq[t - s] for s, w in weights[:t])
+            seq.append(v)
+        # S_0 is the u^0 term (d delta_ij); the tail starts at u^-1
+        terms[cs] = [(t, v) for t, v in enumerate(seq) if t and v]
+    for i in range(spec.n):
+        for j in range(spec.n):
             sums = [{} for _ in range(depth + 1)]  # t -> {(r, c): S_t}
             for r, c, cs in support[i][j]:
-                series = []
-                for t in range(depth + 1):
-                    v = power[t] * cs[k - t] if 0 <= k - t < len(cs) else 0
-                    v -= sum(w * series[t - s] for s, w in weights[:t])
-                    series.append(v)
-                    if v:
-                        sums[t][r, c] = v
-            # S_0 is the u^0 term (d delta_ij); the tail starts at u^-1
+                for t, v in terms[cs]:
+                    sums[t][r, c] = v
             tails = []
             for t in range(1, depth + 1):
                 if sums[t]:
                     g = math.gcd(power[t + 1], *sums[t].values())
-                    rows = [[0] * dim for _ in range(dim)]
-                    for (r, c), v in sums[t].items():
-                        rows[r][c] = v // g
-                    tails.append((power[t + 1] // g, rows))
+                    tails.append((power[t + 1] // g, {
+                        pos: v // g for pos, v in sums[t].items()}))
             yield i, j, tails
 
 
@@ -549,14 +550,16 @@ def laurent_tail_matrices(spec: ModuleSpec, depth: Optional[int] = None):
     power series in 1/u.  The default depth 4m + 2 is at least the degree k
     of action_table's denominator, and the tails to depth k span all the
     others (see _restricted_tails), so the default holds every spanning
-    tail and some that are redundant.  This is the Fraction view of
-    _series_tails' integer pairs; the library's certificates read the pairs,
-    to depth k only, and it stays as the public entry point to the tails
-    that the tests and perfbench/tracing.py name.
+    tail and some that are redundant.  This is the dense Fraction view of
+    _series_tails' sparse integer pairs; the library's certificates read
+    the pairs, to depth k only, and it stays as the public entry point to
+    the tails that the tests and perfbench/tracing.py name.
     """
-    return [[[Fraction(x, scale) for x in row] for row in rows]
+    dim = spec.dim
+    return [[[Fraction(entries.get((r, c), 0), scale) for c in range(dim)]
+             for r in range(dim)]
             for _, _, tails in _series_tails(spec, depth)
-            for scale, rows in tails]
+            for scale, entries in tails]
 
 
 _CLOSURE_PRIMES = (1_000_003, 1_000_033, 1_000_037)
@@ -577,53 +580,69 @@ def _restricted_tails(target: ModuleSpec, basis, pivots):
     basis B (as columns) cleared to integers, the restriction is
     R = (O B)[pivots], and d_B O B = B R certifies that the image is
     invariant.  R is the restricted operator times d_O d_B.  O B is formed
-    from O's nonzero entries only.  When the pivots cover every row, the
-    reduced basis is the identity with its columns permuted, so d_B = 1,
-    R[a][b] = O[pivots[a]][pivots[b]] is read off O, and no row is left off
-    the pivots to fail.  Returns the distinct nonzero restrictions, the rows
-    of those of the raising series (i < j) stacked, and the scales d_O d_B.
+    from the nonzero entries of O and B.  When the pivots cover every row,
+    the reduced basis is the identity with its columns permuted, so
+    d_B = 1, R[a][b] = O[pivots[a]][pivots[b]] is read off O, and no row is
+    left off the pivots to fail.  Returns the distinct nonzero restrictions
+    as the sorted triples (a, b, R[a][b]) of their nonzero entries, the
+    dense rows of those of the raising series (i < j) stacked, and the
+    scales d_O d_B.
     """
-    whole = len(pivots) == len(basis[0])
+    r = len(pivots)
+    whole = r == len(basis[0])
     d_b, cols = (1, ()) if whole else _cleared(basis)
-    b_rows = list(zip(*cols))
-    pivot_set = set(pivots)
+    at = {pv: a for a, pv in enumerate(pivots)}
+    b_terms = [[(b, x) for b, x in enumerate(row) if x] for row in zip(*cols)]
     # B is d_B times the identity on the pivot rows: only the others can fail
-    off_pivot = [i for i in range(len(b_rows)) if i not in pivot_set]
+    off_pivot = [q for q in range(len(basis[0])) if q not in at]
     ops, raising, scales = {}, {}, set()
     table = action_table(target)
     for i, j, tails in _series_tails(target, len(table[0]) - 1, table):
         for d_o, o in tails:
             if whole:
-                restricted = tuple(tuple([o[pv][q] for q in pivots])
-                                   for pv in pivots)
+                restricted = tuple(sorted((at[q], at[c], x)
+                                          for (q, c), x in o.items()))
             else:
-                ob = mat_mul(o, b_rows)
-                restricted = tuple(ob[pv] for pv in pivots)
-                r_cols = list(zip(*restricted))
+                ob: dict = {}  # q -> {b: (O B)[q][b]}
+                for (q, c), x in o.items():
+                    row = ob.setdefault(q, {})
+                    for b, y in b_terms[c]:
+                        row[b] = row.get(b, 0) + x * y
+                restricted = tuple(sorted(
+                    (at[q], b, v) for q, row in ob.items() if q in at
+                    for b, v in row.items() if v))
                 for q in off_pivot:
-                    if ([sum(map(mul, b_rows[q], col)) for col in r_cols]
-                            != [d_b * x for x in ob[q]]):
+                    residual = {b: -d_b * v for b, v in ob.get(q, {}).items()}
+                    for a, x in b_terms[q]:
+                        for b, v in ob.get(pivots[a], {}).items():
+                            residual[b] = residual.get(b, 0) + x * v
+                    if any(residual.values()):
                         raise IntertwiningViolated(
                             "image is not invariant under the target action")
-            if any(any(row) for row in restricted):
+            if restricted:
                 ops[restricted] = None
                 if i < j:
                     raising[restricted] = None
                 scales.add(d_o * d_b)
-    return list(ops), [row for op in raising for row in op], scales
+    stacked = [[0] * r for _ in range(r * len(raising))]
+    for s, op in enumerate(raising):
+        for a, b, x in op:
+            stacked[s * r + a][b] = x
+    return list(ops), stacked, scales
 
 
 def _span_dimension(vectors, ops=(), p: Optional[int] = None,
                     cap: Optional[int] = None) -> int:
     """Dimension of the smallest ops-invariant space holding the vectors.
 
+    Each operator is the (a, b, value) triples of its nonzero entries.
     Integer input is reduced mod p; with p None the arithmetic is exact, in
     integers, each row reduced by _eliminate and made primitive.  With cap,
     a bound on the dimension known beforehand, the count stops there: the
     result is min(dimension, cap) when cap bounds it.
     """
     if p:
-        ops = [[[x % p for x in row] for row in op] for op in ops]
+        ops = [[(a, b, x % p) for a, b, x in op if x % p] for op in ops]
     rows: dict[int, list[int]] = {}  # pivot -> echelon row
     # (op, vector) pairs whose product is still due: an image is formed only
     # when popped, so none is formed once the span is full
@@ -631,7 +650,10 @@ def _span_dimension(vectors, ops=(), p: Optional[int] = None,
     while queue:
         op, vec = queue.pop()
         if op is not None:
-            vec = [sum(map(mul, row, vec)) for row in op]
+            image = [0] * len(vec)
+            for a, b, x in op:
+                image[a] += x * vec[b]
+            vec = image
         for pv, row in rows.items():
             f = vec[pv] % p if p else vec[pv]
             if f:

@@ -53,13 +53,23 @@ def _need_int(value, what: str) -> int:
 
 # ------------------------------------------------------------------ rationals
 
+RATIONAL_DIGITS = 100  # the most digits of a numerator or a denominator
+
+
 def parse_rational(data) -> Fraction:
-    if isinstance(data, bool) or not isinstance(data, (str, int)):
+    """A "p/q" string, a decimal or an integer as a Fraction.  An exponent
+    form ("1e5") is rejected before Fraction expands it, and so is a value
+    whose numerator or denominator has more than RATIONAL_DIGITS digits."""
+    if (isinstance(data, bool) or not isinstance(data, (str, int))
+            or "e" in str(data).lower()):
         raise MalformedInput(f"rational must be a 'p/q' string, got {data!r}")
     try:
-        return Fraction(str(data))
+        value = Fraction(str(data))
     except (ValueError, ZeroDivisionError) as err:
         raise MalformedInput(f"bad rational {data!r}") from err
+    if max(abs(value.numerator), value.denominator) < 10 ** RATIONAL_DIGITS:
+        return value
+    raise MalformedInput(f"rational {data!r} has over {RATIONAL_DIGITS} digits")
 
 
 # ---------------------------------------------------------------- polynomials

@@ -231,6 +231,21 @@ def test_realize_irrational_roots_is_invalid(capsys, monkeypatch):
     assert err.startswith("invalid input:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,stdin", [
+    (["build", "--n", "2", "--mu", "1e5000,0", "--nu", "1,1"], None),
+    (["realize"], '{"P":[["1e20000","1"]],"Qn":{"num":["1"],"den":["1"]}}'),
+    (["realize"],
+     '{"P":[[' + "1" * 5000 + ',1]],"Qn":{"num":["1"],"den":["1"]}}'),
+], ids=["exponent-flag", "exponent-json", "json-integer"])
+def test_oversized_rational_is_invalid(capsys, monkeypatch, argv, stdin):
+    # Fraction would expand an exponent form, whose digits overflow the
+    # report; json refuses an integer of over 4300 digits
+    code, out, err = run(capsys, monkeypatch, argv, stdin)
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_realize_hard_constant_is_invalid_promptly():
     # a 90-byte input whose constant has no small prime factor; run in a
     # child process so that a regression to integer factoring fails on the

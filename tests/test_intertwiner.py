@@ -46,6 +46,29 @@ def identity_matrix(dim):
                  for r in range(dim))
 
 
+def dense_tail(dim, entries):
+    """_series_tails' sparse tail {(r, c): value} as dense integer rows."""
+    rows = [[0] * dim for _ in range(dim)]
+    for (r, c), v in entries.items():
+        rows[r][c] = v
+    return rows
+
+
+def dense_operator(size, triples):
+    """A restricted operator's sorted (a, b, value) triples as the tuple of
+    its dense rows."""
+    rows = [[0] * size for _ in range(size)]
+    for a, b, v in triples:
+        rows[a][b] = v
+    return tuple(map(tuple, rows))
+
+
+def operator_triples(op):
+    """The (a, b, value) triples of a dense operator's nonzero entries."""
+    return tuple((a, b, v) for a, row in enumerate(op)
+                 for b, v in enumerate(row) if v)
+
+
 # ------------------------------------------------------------- reduced words
 
 def test_default_words():
@@ -765,6 +788,33 @@ def test_image_rejects_noninvariant_subspace():
         image_analysis(spec, proj)
 
 
+def test_image_rejects_a_basis_vector_swapped_out_of_the_image():
+    # the invariance equations off the pivots: on every reducible canonical
+    # image, trading any one basis vector for a standard vector e_q, q off
+    # the pivots (so outside the image), spans a subspace of the same rank
+    # that no tail keeps
+    images = swaps = 0
+    for spec in dominant_battery():
+        if spec.dim > 27:
+            continue
+        inter = build_I(spec)
+        basis, pivots = itw._column_echelon(inter.matrix)
+        if len(pivots) == spec.dim:
+            continue
+        q = next(q for q in range(spec.dim) if q not in pivots)
+        outside = [F(int(row == q)) for row in range(spec.dim)]
+        for s in range(len(basis)):
+            cols = basis[:s] + [outside] + basis[s + 1:]
+            matrix = tuple(tuple(col[row] for col in cols)
+                           for row in range(spec.dim))
+            with pytest.raises(IntertwiningViolated):
+                image_analysis(spec, Intertwiner(spec, inter.target_spec,
+                                                 matrix))
+            swaps += 1
+        images += 1
+    assert images >= 20 and swaps > 150
+
+
 def test_image_exact_fallback_agrees(monkeypatch):
     spec = spec_of(2, (0, -1), (1, 1))
     inter = build_I(spec)
@@ -911,7 +961,7 @@ def general_restricted_tails(target, basis, pivots):
     table = action_table(target)
     for i, j, tails in itw._series_tails(target, len(table[0]) - 1, table):
         for d_o, o in tails:
-            ob = mat_mul(o, b_rows)
+            ob = mat_mul(dense_tail(target.dim, o), b_rows)
             restricted = tuple(ob[pv] for pv in pivots)
             for q in off_pivot:
                 assert [sum(map(mul, b_rows[q], col))
@@ -940,10 +990,28 @@ def test_whole_module_restriction_is_the_general_one():
         basis, pivots = itw._column_echelon(inter.matrix)
         if len(pivots) == spec.dim:
             whole += pivots != sorted(pivots)
-            assert (itw._restricted_tails(inter.target_spec, basis, pivots)
-                    == general_restricted_tails(inter.target_spec, basis,
-                                                pivots))
+            ops, raising, scales = itw._restricted_tails(
+                inter.target_spec, basis, pivots)
+            assert ([dense_operator(spec.dim, op) for op in ops],
+                    list(map(tuple, raising)), scales) == \
+                general_restricted_tails(inter.target_spec, basis, pivots)
     assert whole  # some with the pivots out of order
+
+
+def test_sparse_restriction_of_a_reducible_image_is_the_dense_one():
+    # O B formed from the nonzero entries of O and B, against the dense
+    # product and its invariance equations
+    reducible = 0
+    for spec, inter in battery_images():
+        basis, pivots = itw._column_echelon(inter.matrix)
+        if len(pivots) < spec.dim:
+            ops, raising, scales = itw._restricted_tails(
+                inter.target_spec, basis, pivots)
+            assert ([dense_operator(len(pivots), op) for op in ops],
+                    list(map(tuple, raising)), scales) == \
+                general_restricted_tails(inter.target_spec, basis, pivots)
+            reducible += 1
+    assert reducible >= 10
 
 
 def test_capped_singular_rank_gives_the_same_verdicts():
@@ -1028,8 +1096,10 @@ def span_inputs(draw):
 def test_span_dimension_is_the_fraction_closure(args):
     """The integer closure (exact) and the unchanged mod-p one against the
     Fraction reference, on rank-deficient vectors and on nilpotent and
-    rank-one operators."""
-    assert itw._span_dimension(*args) == reference_span_dimension(*args)
+    rank-one operators, each given to _span_dimension as its triples."""
+    vectors, ops, p, cap = args
+    assert (itw._span_dimension(vectors, list(map(operator_triples, ops)), p,
+                                cap) == reference_span_dimension(*args))
 
 
 # ---------------------------------------------------------------- properties
@@ -1066,7 +1136,9 @@ def test_integer_certificates_match_fraction_references(spec):
     inter = build_I(spec)
     assert intertwine_check(spec, inter) == dense_intertwine_check(spec, inter)
     for depth in (None, 3):
-        got = [(i, j, tails) for i, j, tails in itw._series_tails(spec, depth)]
+        got = [(i, j, [(scale, dense_tail(spec.dim, entries))
+                       for scale, entries in tails])
+               for i, j, tails in itw._series_tails(spec, depth)]
         want = [(i, j, [_cleared(mat) for mat in tails])
                 for i, j, tails in fraction_series_tails(spec, depth)]
         assert got == want

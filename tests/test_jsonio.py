@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from ylab.drinfeld import DrinfeldData, PairSet, data_of_module, pair_set
 from ylab.exact import Poly, q_str
 from ylab.intertwiner import build_I
-from ylab.jsonio import (MalformedInput, drinfeld_obj, dumps, intertwiner_obj,
-                         pairset_obj, parse_drinfeld, parse_pairset,
-                         parse_poly, parse_rational, parse_spec, poly_obj,
-                         spec_obj)
+from ylab.jsonio import (RATIONAL_DIGITS, MalformedInput, drinfeld_obj, dumps,
+                         intertwiner_obj, pairset_obj, parse_drinfeld,
+                         parse_pairset, parse_poly, parse_rational,
+                         parse_spec, poly_obj, spec_obj)
 from ylab.yangian import ModuleSpec
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
@@ -34,9 +34,16 @@ def test_rational_round_trip(x):
 
 
 def test_rational_rejects_junk():
-    for bad in ("", "1/0", "a", 1.5, None, True, [1]):
+    # exponent forms are refused before Fraction expands them, and the
+    # numerator and denominator are bounded to RATIONAL_DIGITS digits
+    big = "9" * RATIONAL_DIGITS
+    for bad in ("", "1/0", "a", 1.5, None, True, [1], "1e5", "2E-3",
+                "1.5e2", "1e20000", "1" + big, "-1" + big, "1/1" + big,
+                "0." + big, 10 ** RATIONAL_DIGITS):
         with pytest.raises(MalformedInput):
             parse_rational(bad)
+    assert parse_rational(big + "/" + big[1:] + "8") == F(int(big),
+                                                          int(big) - 1)
 
 
 def test_poly_wire_is_low_to_high():
