@@ -54,12 +54,12 @@ def _need_int(value, what: str) -> int:
 # ------------------------------------------------------------------ rationals
 
 RATIONAL_DIGITS = 100  # the most digits of a numerator or a denominator
+_BOUND = 10 ** RATIONAL_DIGITS
 
 
 def parse_rational(data) -> Fraction:
-    """A "p/q" string, a decimal or an integer as a Fraction.  An exponent
-    form ("1e5") is rejected before Fraction expands it, and so is a value
-    whose numerator or denominator has more than RATIONAL_DIGITS digits."""
+    """A "p/q" string, decimal or integer, of at most RATIONAL_DIGITS digits
+    above and below the line; no exponent form, which Fraction expands."""
     if (isinstance(data, bool) or not isinstance(data, (str, int))
             or "e" in str(data).lower()):
         raise MalformedInput(f"rational must be a 'p/q' string, got {data!r}")
@@ -67,9 +67,9 @@ def parse_rational(data) -> Fraction:
         value = Fraction(str(data))
     except (ValueError, ZeroDivisionError) as err:
         raise MalformedInput(f"bad rational {data!r}") from err
-    if max(abs(value.numerator), value.denominator) < 10 ** RATIONAL_DIGITS:
+    if -_BOUND < value.numerator < _BOUND and value.denominator < _BOUND:
         return value
-    raise MalformedInput(f"rational {data!r} has over {RATIONAL_DIGITS} digits")
+    raise MalformedInput(f"rational {data!r} exceeds {RATIONAL_DIGITS} digits")
 
 
 # ---------------------------------------------------------------- polynomials
