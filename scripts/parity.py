@@ -8,7 +8,9 @@ Over every spec of the dominant battery (which holds the mixed battery)
 and of the word battery (whose four-row specs hold two rows beside each
 root pair's), the jobs are `build`, `intertwine`, `drinfeld` and `verify --suite S` for
 every suite S the CLI accepts for that spec (`words` needs m <= 4,
-`lemma41` dim <= 16, `iso` n <= 4).  One child process per tree runs them
+`lemma41` dim <= 16, `iso` n <= 4).  On the WIDE_GAPS specs, whose row
+shifts lie up to 10^3 apart on one integer chain, they are `drinfeld`
+and `verify --suite drinfeld`.  One child process per tree runs them
 all through `cli.main`, without a cache.  Each job's exit code, or the
 exception that escaped `cli.main`, its stdout and its stderr are compared.
 No CLI command calls `image_analysis`, so the same child also reports it,
@@ -42,6 +44,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# [n, mu, nu] with row shifts far apart on one integer chain, so that the
+# classification data telescopes across wide gaps; the gaps stay within
+# 10^3, where a solver stepping through every integer still finishes.
+WIDE_GAPS = (
+    (3, ("777", "1"), (1, 1)),
+    (2, ("1000", "0"), (2, -1)),
+    (1, ("0", "-999", "500"), (1, -1, 1)),
+    (3, ("1/2", "-997/2", "3/2"), (3, -2, 1)),
+    (2, ("-400", "600", "-400"), (2, 1, -1)),
+)
+
 
 def jobs() -> tuple[list[list[str]], dict]:
     """The argv of every job, and the [n, mu, nu] of the specs of each
@@ -69,6 +82,11 @@ def jobs() -> tuple[list[list[str]], dict]:
                   "iso": spec.n > 4}
         out += [["verify", "--suite", suite] + flags
                 for suite in SUITES if not capped.get(suite)]
+    for n, mu, nu in WIDE_GAPS:
+        flags = [f"--n={n}", "--mu=" + ",".join(mu),
+                 "--nu=" + ",".join(map(str, nu))]
+        out += [["drinfeld"] + flags,
+                ["verify", "--suite", "drinfeld"] + flags]
     return out, {"images": images,
                  "elementary": [encode(spec) for spec in dominant_battery()
                                 if min(spec.nu) >= 0],

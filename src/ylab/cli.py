@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 
 from . import jsonio
 from .drinfeld import (CommonZeroes, NoSolution, PairSet, classify_kind,
-                       data_of_module, pair_set, realize, reduce_minimal)
+                       data_of_module, pairs_of_module, realize,
+                       reduce_minimal)
 from .duality import composite_check, iso_covector
 from .exact import IrrationalRoots, q_str
 from .glmops import ForbiddenWeightDifference
@@ -205,7 +206,7 @@ def cmd_drinfeld(spec: ModuleSpec) -> tuple[int, dict]:
         "command": "drinfeld",
         "data": jsonio.drinfeld_obj(data),
         "kind": classify_kind(data),
-        "pairs": jsonio.pairset_obj(pair_set(data)),
+        "pairs": jsonio.pairset_obj(pairs_of_module(spec)),
     }
     return EXIT_OK, doc
 

@@ -13,12 +13,13 @@ the minimal pair reduction.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ONE, Poly, RatFun, factor_linear, poly_gcd, q
 from .intertwiner import check_dominant
-from .yangian import ModuleSpec, eigen_series
+from .yangian import ModuleSpec, eigen_roots
 
 
 class NoSolution(ValueError):
@@ -61,66 +62,79 @@ def classify_kind(data: DrinfeldData) -> str:
 
 # -------------------------------------------------------- telescoping solver
 
-def _exponents(ratfun: RatFun) -> dict[Fraction, int]:
-    """Root -> signed multiplicity of the canonical num/den factorization."""
-    expo: dict[Fraction, int] = {}
-    for z in factor_linear(ratfun.num.monic()):
-        expo[z] = expo.get(z, 0) + 1
-    for z in factor_linear(ratfun.den):
-        expo[z] = expo.get(z, 0) - 1
-    return {z: e for z, e in expo.items() if e}
+def _telescope(zeros, poles, mode: str) -> tuple[list, list]:
+    """Sorted zeros and poles of the unique monic Q, of the requested kind,
+    with Q(u+1)/Q(u) = prod (u - z) over zeros / prod (u - p) over poles.
+
+    Roots are grouped into chains by their integer-translation coset (first
+    seen among the sorted net zeros, then poles).  Q's exponent at a chain
+    position w is minus the sum of the chain's exponents at positions >= w,
+    so it changes only at the chain's roots: the walk steps over them, top
+    down, and emits a stretch of roots only where that exponent is nonzero.
+    A chain whose exponents do not sum to zero, or a negative exponent in
+    polynomial mode, means there is no Q of the requested kind.
+    """
+    expo = Counter(zeros)
+    expo.subtract(poles)
+    chains: dict[Fraction, dict[Fraction, int]] = {}
+    for z in sorted(expo, key=lambda z: (expo[z] < 0, z)):
+        if expo[z]:
+            chains.setdefault(z - math.floor(z), {})[z] = expo[z]
+
+    num_roots: list[Fraction] = []
+    den_roots: list[Fraction] = []
+    for chain in chains.values():
+        keys = sorted(chain, reverse=True)
+        exponent = 0
+        for w, below in zip(keys, keys[1:]):
+            exponent -= chain[w]
+            if exponent:  # Q's exponent at w, w - 1, ..., below + 1
+                roots = num_roots if exponent > 0 else den_roots
+                for k in range(int(w - below)):
+                    roots.extend([w - k] * abs(exponent))
+        exponent -= chain[keys[-1]]
+        if exponent != 0:
+            raise NoSolution(
+                f"chain through {keys[0]} does not telescope"
+                f" (residue {exponent})")
+    if mode == "polynomial" and den_roots:
+        raise NoSolution(
+            "a negative exponent forces a denominator; the function is "
+            "not a polynomial shift quotient")
+    return sorted(num_roots), sorted(den_roots)
 
 
 def solve_shift_quotient(ratfun: RatFun, mode: str):
     """The unique monic Q with Q(u+1)/Q(u) equal to the given function.
 
     mode 'polynomial' returns Q as a Poly; mode 'rational' returns a coprime
-    monic (numerator, denominator) pair.  Roots are grouped into chains by
-    their integer-translation coset and the exponent of Q at each chain
-    position is the telescoped partial sum; a chain whose exponents do not
-    sum to zero, or a negative exponent in polynomial mode, means there is
-    no Q of the requested kind.
+    monic (numerator, denominator) pair.  The function's roots are found by
+    factor_linear and telescoped along their integer chains (_telescope),
+    which raises NoSolution when there is no Q of the requested kind.
     """
     if mode not in ("polynomial", "rational"):
         raise ValueError(f"unknown mode {mode!r}")
     if ratfun.num.degree != ratfun.den.degree or not ratfun.num.is_monic():
         raise ValueError("the function must have leading behavior 1")
-
-    chains: dict[Fraction, dict[Fraction, int]] = {}
-    for z, e in _exponents(ratfun).items():
-        coset = z - math.floor(z)
-        chains.setdefault(coset, {})[z] = e
-
-    num_roots: list[Fraction] = []
-    den_roots: list[Fraction] = []
-    for chain in chains.values():
-        top = max(chain)
-        bottom = min(chain)
-        exponent = 0
-        w = top
-        while w >= bottom:
-            # exponent of Q at w equals -(sum of chain exponents at >= w)
-            exponent -= chain.get(w, 0)
-            if exponent > 0:
-                num_roots.extend([w] * exponent)
-            elif exponent < 0:
-                den_roots.extend([w] * (-exponent))
-            w -= 1
-        if exponent != 0:
-            raise NoSolution(
-                f"chain through {top} does not telescope (residue {exponent})")
-
+    num, den = _telescope(factor_linear(ratfun.num.monic()),
+                          factor_linear(ratfun.den), mode)
     if mode == "polynomial":
-        if den_roots:
-            raise NoSolution(
-                "a negative exponent forces a denominator; the function is "
-                "not a polynomial shift quotient")
-        return Poly.from_roots(sorted(num_roots))
-    return (Poly.from_roots(sorted(num_roots)),
-            Poly.from_roots(sorted(den_roots)))
+        return Poly.from_roots(num)
+    return Poly.from_roots(num), Poly.from_roots(den)
 
 
 # ------------------------------------------------------------ module -> data
+
+def _data_roots(spec: ModuleSpec) -> tuple[list, list, list]:
+    """The closed product forms' sorted roots: P_1 ... P_{n-1}'s, and Q_n's
+    zeros and poles with their shared roots cancelled."""
+    n, rows = spec.n, tuple(zip(spec.mu, spec.nu))
+    p_roots = [sorted(z for z, d in rows if d == i or d == i - n)
+               for i in range(1, n)]
+    qn = Counter(z for z, d in rows if d == n)
+    qn.subtract(z for z, d in rows if d < 0)
+    return p_roots, sorted((+qn).elements()), sorted((-qn).elements())
+
 
 def data_of_module(spec: ModuleSpec) -> DrinfeldData:
     """Classification data of the standard module, computed two ways.
@@ -128,24 +142,22 @@ def data_of_module(spec: ModuleSpec) -> DrinfeldData:
     The closed product forms over the factor parameters must agree with the
     telescoping solver applied to the verified diagonal eigenvalue series;
     disagreement means an implementation bug and raises ArithmeticError.
+    Each series is its root multisets (yangian.eigen_roots), so a ratio of
+    two is a difference of multisets, and no polynomial is divided,
+    reduced by a gcd or factored.
     """
     n = spec.n
-    p_list = []
-    for i in range(1, n):
-        roots = [z for z, d in zip(spec.mu, spec.nu) if d == i or d == i - n]
-        p_list.append(Poly.from_roots(sorted(roots)))
-    qn = RatFun.from_roots((z for z, d in zip(spec.mu, spec.nu) if d == n),
-                           (z for z, d in zip(spec.mu, spec.nu) if d < 0))
-    closed = DrinfeldData(tuple(p_list), qn.num, qn.den)
+    p_roots, qn_num, qn_den = _data_roots(spec)
+    closed = DrinfeldData(tuple(map(Poly.from_roots, p_roots)),
+                          Poly.from_roots(qn_num), Poly.from_roots(qn_den))
 
-    series = [eigen_series(spec, i) for i in range(1, n + 1)]
+    series = [eigen_roots(spec, i) for i in range(1, n + 1)]
     for i in range(1, n):
-        solved = solve_shift_quotient(series[i - 1] / series[i], "polynomial")
-        if solved != closed.P[i - 1]:
+        (z1, p1), (z2, p2) = series[i - 1], series[i]
+        if _telescope(z1 + p2, p1 + z2, "polynomial")[0] != p_roots[i - 1]:
             raise ArithmeticError(
                 f"eigenvalue route disagrees with the closed form at P_{i}")
-    qn_num, qn_den = solve_shift_quotient(series[n - 1], "rational")
-    if qn_num != closed.Qn_num or qn_den != closed.Qn_den:
+    if _telescope(*series[n - 1], "rational") != (qn_num, qn_den):
         raise ArithmeticError(
             "eigenvalue route disagrees with the closed form at Q_n")
     return closed
@@ -181,6 +193,16 @@ def pair_set(data: DrinfeldData) -> PairSet:
         pairs.extend((i, z) for z in factor_linear(p))
     pairs.extend((n, z) for z in factor_linear(data.Qn_num))
     pairs.extend((-n, z) for z in factor_linear(data.Qn_den))
+    return PairSet(tuple(pairs))
+
+
+def pairs_of_module(spec: ModuleSpec) -> PairSet:
+    """pair_set(data_of_module(spec)), from the closed forms' roots: (i, z)
+    per root z of P_i, and (n, z) and (-n, z) per zero and pole of Q_n."""
+    p_roots, qn_num, qn_den = _data_roots(spec)
+    pairs = [(i, z) for i, roots in enumerate(p_roots, start=1)
+             for z in roots]
+    pairs += [(spec.n, z) for z in qn_num] + [(-spec.n, z) for z in qn_den]
     return PairSet(tuple(pairs))
 
 

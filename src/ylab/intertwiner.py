@@ -259,7 +259,8 @@ def _word_products(factors: _RootFactors, orders):
     stack, last = [], ()
     dim = factors.spec.dim
     for pairs, s in sorted(zip(orders, itertools.count())):
-        k = next((t for t, pair in enumerate(last) if pair != pairs[t]), 0)
+        k = next((t for t, (p, q) in enumerate(zip(last, pairs)) if p != q),
+                 min(len(last), len(pairs)))
         del stack[k:]  # keep the products of the shared prefix
         for pair in pairs[k:]:
             stack.append(terms_mul(stack[-1], factors.terms(pair), dim)
@@ -269,13 +270,9 @@ def _word_products(factors: _RootFactors, orders):
             tuple(int(r == c) for c in range(dim)) for r in range(dim))
 
 
-def _assemble(factors: _RootFactors, orders) -> tuple[Intertwiner, int]:
-    """The operator R f_1 ... f_k along orders[0], R the relabeling by
-    sigma_0; the first s with another product, or 0."""
-    first = {}  # product -> the first s giving it
-    for s, total in _word_products(factors, orders):
-        first[total] = min(first.get(total, s), s)
-    ranked = sorted(first, key=first.get)
+def _operator(factors: _RootFactors, total) -> Intertwiner:
+    """The operator R f_1 ... f_k of a word whose product is total, R the
+    relabeling by sigma_0; it must normalize the distinguished vector."""
     spec = factors.spec
     sign, index = _relabel(perm_longest(spec.m), spec.n, spec.abs_nu)
     den = sign * math.prod(d for d, _ in factors.values())
@@ -286,11 +283,22 @@ def _assemble(factors: _RootFactors, orders) -> tuple[Intertwiner, int]:
     target = spec.permuted(perm_longest(spec.m))
     order = sorted(range(spec.dim), key=index.__getitem__)  # R's sources
     out = Intertwiner(spec, target, _module_matrix(
-        [ranked[0][c] for c in order], -den if n_exp % 2 else den))
+        [total[c] for c in order], -den if n_exp % 2 else den))
     if out.hv_scale() != 1:
         raise ArithmeticError(
             "construction failed to normalize the distinguished vector")
-    return out, first[ranked[1]] if len(ranked) > 1 else 0
+    return out
+
+
+def _assemble(factors: _RootFactors, orders) -> tuple[Intertwiner, int]:
+    """The operator along orders[0]; the first s with another product, or
+    0."""
+    first = {}  # product -> the first s giving it
+    for s, total in _word_products(factors, orders):
+        first[total] = min(first.get(total, s), s)
+    ranked = sorted(first, key=first.get)
+    return (_operator(factors, ranked[0]),
+            first[ranked[1]] if len(ranked) > 1 else 0)
 
 
 def build_I(spec: ModuleSpec, word: Optional[ReducedWord] = None) -> Intertwiner:
@@ -352,21 +360,45 @@ class WordReport:
     passed: bool
 
 
+def _yang_baxter_operator(factors: _RootFactors,
+                          first) -> Optional[Intertwiner]:
+    """The operator along the pair sequence first when F_ij F_ik F_jk =
+    F_jk F_ik F_ij, in integers, on every row triple i < j < k; else None.
+    One walk shares first's prefix products with the triples'."""
+    rows = range(1, factors.spec.m + 1)
+    sides = [side for i, j, k in itertools.combinations(rows, 3)
+             for side in (((i, j), (i, k), (j, k)), ((j, k), (i, k), (i, j)))]
+    products = dict(_word_products(factors, [first] + sides))
+    if any(products[s] != products[s + 1]
+           for s in range(1, len(products), 2)):
+        return None
+    return _operator(factors, products[0])
+
+
 def word_independence_check(spec: ModuleSpec) -> WordReport:
     """Insist that every reduced word gives the same operator: each word's is
     its integer product R f_1 ... f_k over one denominator with one sign, read
     on the module bases in place, so words agree exactly when their products
-    do.  The words come from the generator and their pairs from _word_pairs,
-    unchecked.  A sorted walk shares each prefix product (65 for m = 4, not
-    96); only the first word's product becomes an operator."""
+    do.  The factor of a root pair acts on its two rows alone, so factors of
+    disjoint pairs commute, and any two reduced words are joined by braid
+    moves (Matsumoto's theorem), each commuting two such factors or trading
+    F_ij F_ik F_jk for F_jk F_ik F_ij.  So once that Yang-Baxter identity
+    holds on every row triple (_yang_baxter_operator: 4 identities for
+    m = 4, 1 for m = 3), all the products are equal, and of the words' only
+    the first's is formed, to become the operator.  When an identity fails,
+    a sorted walk over every word's pair sequence (words from the
+    generator, pairs from _word_pairs, unchecked), sharing each prefix
+    product, names the first word whose product differs."""
     if spec.m > 4:
         raise ValueError("word enumeration is limited to m <= 4")
     words = _reduced_words_of(perm_longest(spec.m))
-    odd = _assemble(_RootFactors(spec),
-                    [_word_pairs(spec.m, w) for w in words])[1]
-    if odd:
-        raise WordDependenceViolated(f"word {words[odd]} disagrees"
-                                     f" with {words[0]} on {spec}")
+    factors = _RootFactors(spec)
+    orders = [_word_pairs(spec.m, w) for w in words]
+    if _yang_baxter_operator(factors, orders[0]) is None:
+        odd = _assemble(factors, orders)[1]
+        if odd:
+            raise WordDependenceViolated(f"word {words[odd]} disagrees"
+                                         f" with {words[0]} on {spec}")
     return WordReport(spec, len(words), True)
 
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd, isqrt
+from functools import lru_cache, reduce
+from math import comb, gcd, isqrt, prod
 from typing import Optional, Sequence
 
 from .exact import (ONE, ZERO, Poly, RatFun, _cleared, _it_div, _it_mul,
@@ -292,39 +292,64 @@ def highest_vector(spec: ModuleSpec) -> HighestVector:
 
 # ---------------------------------------------------------- eigenvalue series
 
-def eigen_closed(spec: ModuleSpec, i: int) -> RatFun:
-    """Closed product form of the i-th diagonal eigenvalue on the vector."""
+def _closed_roots(spec: ModuleSpec, i: int) -> tuple[list, list]:
+    """Zeros and poles of eigen_closed, shared roots not cancelled."""
     pos = [z for z, d in zip(spec.mu, spec.nu) if d >= i]
     neg = [z for z, d in zip(spec.mu, spec.nu) if d < i - spec.n]
-    return RatFun.from_roots([z - 1 for z in pos] + neg,
-                             pos + [z - 1 for z in neg])
+    return [z - 1 for z in pos] + neg, pos + [z - 1 for z in neg]
 
 
-def eigen_series(spec: ModuleSpec, i: int) -> RatFun:
-    """Eigenvalue of T_ii(u) on the distinguished vector, fully cross-checked.
+def eigen_closed(spec: ModuleSpec, i: int) -> RatFun:
+    """Closed product form of the i-th diagonal eigenvalue on the vector."""
+    return RatFun.from_roots(*_closed_roots(spec, i))
 
-    Asserts the vector is annihilated by every strictly-upper T_ij(u), is an
-    actual eigenvector of T_ii(u), and that the eigenvalue agrees with the
-    closed product form; any mismatch raises NotEigenvector.
+
+def _cleared_roots(roots) -> tuple[list[int], int]:
+    """(prod (b u - a), prod b) over the roots a/b: the product of their
+    factors u - a/b is the first over the second."""
+    return (reduce(_iu_mul, ((-z.numerator, z.denominator) for z in roots),
+                   [1]), prod(z.denominator for z in roots))
+
+
+def eigen_roots(spec: ModuleSpec, i: int) -> tuple[list, list]:
+    """eigen_closed's zeros and poles, once the table agrees with them.
+
+    Asserts the distinguished vector is annihilated by every strictly-upper
+    T_ij(u), is an actual eigenvector of T_ii(u), and that the eigenvalue
+    cs / den read off the table equals N / D, the closed form's products
+    over its zeros and poles: with each root a/b cleared to b u - a, N' and
+    D' the cleared products and c_N and c_D the products of the b, that is
+    cs D' c_N = den N' c_D in Z[u].  Any mismatch raises NotEigenvector,
+    and only its text forms the RatFuns.
     """
     den, table = action_table(spec)
     col = highest_index(spec)
-    value = RatFun(ZERO)
+    value = ()
     for r, c, cs in table[i - 1][i - 1]:
         if c == col and r != col:
             raise NotEigenvector(
                 f"T_{i}{i} maps the distinguished vector off itself (row {r})")
         if (r, c) == (col, col):
-            value = RatFun(Poly(cs), Poly(den))
+            value = cs
     for j in range(i + 1, spec.n + 1):
         if any(c == col for _, c, _ in table[i - 1][j - 1]):
             raise NotEigenvector(
                 f"T_{i}{j} does not annihilate the distinguished vector")
-    closed = eigen_closed(spec, i)
-    if value != closed:
+    zeros, poles = _closed_roots(spec, i)
+    num, c_num = _cleared_roots(zeros)
+    pole, c_pole = _cleared_roots(poles)
+    if (_iu_mul(value, [c_num * x for x in pole])
+            != _iu_mul(den, [c_pole * x for x in num])):
         raise NotEigenvector(
-            f"eigenvalue {value} differs from closed form {closed}")
-    return value
+            f"eigenvalue {RatFun(Poly(value), Poly(den))} differs from"
+            f" closed form {eigen_closed(spec, i)}")
+    return zeros, poles
+
+
+def eigen_series(spec: ModuleSpec, i: int) -> RatFun:
+    """Eigenvalue of T_ii(u) on the distinguished vector, fully cross-checked
+    against the table (see eigen_roots); any mismatch raises NotEigenvector."""
+    return RatFun.from_roots(*eigen_roots(spec, i))
 
 
 # -------------------------------------------------- defining-relation check

@@ -51,8 +51,9 @@ def reference_matrix(G, op, domain_nu, codomain_nu):
                  for r in range(len(cod)))
 
 
-def reference_XY(G, kind, w, a, b, nu, eps=None):
-    """XY_op's matrix, by a Fraction series on Grassmann elements."""
+def reference_XY(G, kind, w, a, b, nu, eps=None, scale=lambda r: 1):
+    """XY_op's matrix, by a Fraction series on Grassmann elements; the
+    term of B^r A^r is multiplied by scale(r), which mutation tests set."""
     if not (1 <= a < b <= G.m):
         raise ValueError(f"need 1 <= a < b <= m, got ({a}, {b})")
     if kind not in ("X", "Y"):
@@ -77,7 +78,7 @@ def reference_XY(G, kind, w, a, b, nu, eps=None):
                 term = row(j, i, term)  # B^r A^r x
             if term.is_zero():
                 continue
-            coeff = Fraction((-1) ** r, 1) / (
+            coeff = Fraction((-1) ** r * scale(r), 1) / (
                 pochhammer(1, r) * pochhammer(c + 1, r))
             out = out + term.scale(coeff)
         return out

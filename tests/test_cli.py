@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -214,6 +215,21 @@ def test_drinfeld_realize_round_trip(capsys, monkeypatch):
     realized = json.loads(out)
     assert realized["spec"]["nu"] == [-2, 1]
     assert realized["kind"] == "rational"
+
+
+def test_drinfeld_on_a_wide_gap(capsys, monkeypatch):
+    # the two row shifts are 77,777,776 apart: the solver steps over the
+    # roots of a chain, not through every integer between them
+    start = time.perf_counter()
+    code, out, err = run(capsys, monkeypatch,
+                         ["drinfeld", "--n", "3", "--mu", "77777777,1",
+                          "--nu", "1,1"])
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"command":"drinfeld","data":{"P":[["77777777","-77777778","1"],'
+        '["1"]],"Qn":{"den":["1"],"num":["1"]}},"kind":"polynomial",'
+        '"pairs":[[1,"1"],[1,"77777777"]]}\n')
 
 
 def test_realize_rejects_junk(capsys, monkeypatch):

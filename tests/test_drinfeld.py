@@ -4,13 +4,15 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference_eigen import reference_solve_shift_quotient
+from ylab.battery import dominant_battery, mixed_battery, rtt_battery
 from ylab.drinfeld import (CommonZeroes, DrinfeldData, NoSolution, PairSet,
-                           classify_kind, data_of_module,
-                           dominant_spec_of_pairs, pair_set, realize,
-                           reduce_minimal, solve_shift_quotient)
+                           _telescope, classify_kind, data_of_module,
+                           dominant_spec_of_pairs, pair_set, pairs_of_module,
+                           realize, reduce_minimal, solve_shift_quotient)
 from ylab.exact import ONE, Poly, RatFun, linear
 from ylab.yangian import ModuleSpec, eigen_closed
 
@@ -103,6 +105,44 @@ def test_property_solver_round_trip(num_roots, den_roots):
     assert got_num == num and got_den == den
 
 
+def outcome(solve, *args):
+    """solve(*args), or the type and text of the ValueError it raised."""
+    try:
+        return solve(*args)
+    except ValueError as exc:   # NoSolution is one
+        return f"{type(exc).__name__}: {exc}"
+
+
+CHAIN_ROOTS = st.sampled_from([F(k) for k in range(-4, 5)]
+                              + [F(1, 2), F(-3, 2), F(5, 2), F(-1, 3)])
+
+
+@given(st.lists(CHAIN_ROOTS, max_size=5), st.lists(CHAIN_ROOTS, max_size=5),
+       st.sampled_from(["polynomial", "rational"]))
+@settings(max_examples=300)
+def test_property_key_walk_is_the_step_walk(zeros, poles, mode):
+    # on chains with small gaps, stepping over the roots gives what stepping
+    # through every integer position gives: the same Q, or the same error
+    ratfun = RatFun.from_roots(zeros, poles)
+    want = outcome(reference_solve_shift_quotient, ratfun, mode)
+    assert outcome(solve_shift_quotient, ratfun, mode) == want
+    if len(zeros) == len(poles):  # leading behavior 1
+        got = outcome(_telescope, zeros, poles, mode)
+        if not isinstance(got, str):
+            got = tuple(map(Poly.from_roots, got))
+            got = got[0] if mode == "polynomial" else got
+        assert got == want
+
+
+def test_key_walk_skips_a_wide_gap():
+    # ((u - 77777776) u) / ((u - 77777777)(u - 1)) is Q(u+1)/Q(u) for
+    # Q = (u - 1)(u - 77777777): the exponent is zero across the gap
+    zeros, poles = [F(77777776), F(0)], [F(77777777), F(1)]
+    assert _telescope(zeros, poles, "polynomial") == ([1, 77777777], [])
+    with pytest.raises(NoSolution, match="residue -1"):
+        _telescope(zeros, poles[:1], "rational")
+
+
 # ---------------------------------------------------------------- data type
 
 def test_data_validation():
@@ -167,6 +207,30 @@ def test_data_equals_shift_quotient_of_eigenvalues():
             qi_num = qi_num * data.P[j - 1]
         lhs = eigen_closed(spec, i) * rf(qi_num, qi_den)
         assert lhs == rf(qi_num.shift(1), qi_den.shift(1))
+
+
+def test_pairs_of_module_are_the_pair_set_of_its_data():
+    specs = dict.fromkeys(dominant_battery() + mixed_battery()
+                          + rtt_battery())
+    for spec in specs:
+        assert pairs_of_module(spec) == pair_set(data_of_module(spec))
+    assert len(specs) == 383
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(-n, n),
+                                   st.sampled_from([F(0), F(1), F(1, 2)])),
+                         min_size=1, max_size=3))))
+@settings(max_examples=100)
+@example((1, [(1, F(0)), (-1, F(0))]))
+@example((2, [(2, F(1)), (-1, F(1)), (-2, F(1))]))
+@example((3, [(3, F(0)), (-3, F(0)), (-1, F(0)), (1, F(1, 2))]))
+def test_property_pairs_of_module(rows):
+    # repeated shifts make rows of degree n cancel against negative ones in
+    # Q_n, which the pairs must follow as pair_set does
+    n, rows = rows
+    spec = ModuleSpec.make(n, [z for _, z in rows], [d for d, _ in rows])
+    assert pairs_of_module(spec) == pair_set(data_of_module(spec))
 
 
 # -------------------------------------------------------------- realization

@@ -1,6 +1,7 @@
 """Reduced words, canonical intertwiners, elementary swaps, image analysis."""
 
 from fractions import Fraction as F
+import itertools
 from itertools import permutations, product
 from operator import mul
 
@@ -13,12 +14,13 @@ from reference_basis import module_positions
 from reference_coproduct import reference_table
 from reference_elementary import (compose_elementary,
                                   elementary_composition_check)
-from reference_factors import reference_relabel, signed_permutation_rows
+from reference_factors import (reference_relabel, reference_XY,
+                               signed_permutation_rows)
 from ylab.battery import (KERNEL_SPEC, dominant_battery, mixed_battery,
                           rtt_battery, word_battery)
 from ylab.duality import dual_iso, hv_flip_exponent
 from ylab.exact import _cleared
-from ylab.glmops import XY_op, mat_mul
+from ylab.glmops import LinearMap, XY_op, mat_mul
 from ylab.grassmann import (Grassmann, perm_compose,
                             perm_identity, perm_inverse, perm_longest,
                             perm_transposition)
@@ -431,10 +433,19 @@ def test_build_matches_fraction_reference_on_every_word():
                 assert build_I(spec, word).matrix == reference_I(spec, word)
 
 
+def force_the_walk(monkeypatch):
+    """Make the row-triple test report a failure, so that
+    word_independence_check walks every word."""
+    monkeypatch.setattr(itw, "_yang_baxter_operator",
+                        lambda factors, first: None)
+
+
 def perturb_products(monkeypatch, spec, odd):
     """Make the word walk add odd[s] to one entry of word s's product, in a
     column away from the distinguished vector's, so the first word's
-    operator still normalizes and only the comparison can fail."""
+    operator still normalizes and only the comparison can fail; the walk
+    is forced (force_the_walk)."""
+    force_the_walk(monkeypatch)
     G = Grassmann(spec.m, spec.n)
     hv = module_positions(G, spec)[highest_vector(spec).index]
     products = itw._word_products
@@ -479,6 +490,7 @@ def test_word_independence_shares_prefix_products(monkeypatch):
             calls[name] += 1
             return real(*args)
         monkeypatch.setattr(itw, name, counted)
+    force_the_walk(monkeypatch)
     spec = word_battery()[4][1]
     assert word_independence_check(spec).words == 16
     # 65 distinct nonempty prefixes of the 16 pair sequences, not 16 * 6:
@@ -502,6 +514,73 @@ def test_word_independence_matches_fraction_reference(spec):
     agree = len({reference_I(spec, word) for word in words}) == 1
     assert word_independence_check(spec) == WordReport(spec, len(words),
                                                        agree)
+
+
+def test_word_independence_forms_few_products_when_the_triples_hold(
+        monkeypatch):
+    calls = {"terms_mul": 0, "row_terms": 0, "_module_matrix": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(itw, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(itw, name, counted)
+    for m, products in ((3, 4), (4, 20)):
+        for name in calls:
+            calls[name] = 0
+        spec = word_battery()[m][1]
+        assert word_independence_check(spec).words == len(all_reduced_words(m))
+        # two products per side of each row triple; the first word's shares
+        # them, all of them for m = 3 (its pairs are one side's), and for
+        # m = 4 the prefix (3,4), (2,4), so its other four are formed; the
+        # walk over every word forms 4 and 62
+        assert calls == {"terms_mul": products, "row_terms": m * (m - 1) // 2,
+                         "_module_matrix": 1}
+
+
+def test_disjoint_pair_factors_commute():
+    # a root pair's factor acts on its two rows alone; only the six
+    # four-row specs have pairs with no row in common, three couples each
+    checked = 0
+    for spec in dict.fromkeys(dominant_battery() + list(WORDS_TAIL)
+                              + [spec for row in word_battery().values()
+                                 for spec in row]):
+        factors = itw._RootFactors(spec)
+        pairs = list(itertools.combinations(range(1, spec.m + 1), 2))
+        for p, q in itertools.combinations(pairs, 2):
+            if not set(p) & set(q):
+                assert (mat_mul(factors[p][1], factors[q][1])
+                        == mat_mul(factors[q][1], factors[p][1]))
+                checked += 1
+    assert checked == 18
+
+
+def doubled_XY(G, kind, w, a, b, nu, eps=None):
+    """XY_op with its series terms of r >= 2 doubled."""
+    d, rows = _cleared(reference_XY(G, kind, w, a, b, nu, eps=eps,
+                                    scale=lambda r: 2 if r >= 2 else 1))
+    return LinearMap(nu, nu, cleared=(d, tuple(map(tuple, rows))))
+
+
+def test_doubled_series_terms_break_a_triple_where_the_words_disagree(
+        monkeypatch):
+    # the mutant's words disagree on the dim-144 spec alone, and a row
+    # triple fails there and nowhere else
+    monkeypatch.setattr(itw, "XY_op", doubled_XY)
+    specs = [spec for row in word_battery().values() for spec in row]
+    specs += list(WORDS_TAIL) + [s for s in dominant_battery() if s.m >= 3]
+    failing = []
+    for spec in dict.fromkeys(specs):
+        orders = [itw._word_pairs(spec.m, w.letters)
+                  for w in all_reduced_words(spec.m)]
+        factors = itw._RootFactors(spec)
+        triple_fails = itw._yang_baxter_operator(factors, orders[0]) is None
+        walk_fails = len({p for _, p in itw._word_products(factors,
+                                                           orders)}) > 1
+        assert triple_fails == walk_fails
+        if walk_fails:
+            failing.append(spec)
+    assert failing == [word_battery()[3][3]]
+    assert failing[0].dim == 144
 
 
 # -------------------------------------------------------- intertwining check

@@ -484,6 +484,51 @@ def test_rtt_detects_corruption(monkeypatch):
                                                          spec)
 
 
+def eigen_corruptions(spec):
+    """(a, b, r, c, change) for corrupt(): for each i, the distinguished
+    diagonal entry of T_ii changed or gone, an entry joining the
+    distinguished column of T_ii off the diagonal, and one joining that
+    column of each upper T_ij."""
+    col = ya.highest_index(spec)
+    for a in range(spec.n):
+        yield a, a, col, col, lambda cs: _iu_add(cs, [1])
+        yield a, a, col, col, lambda cs: ()
+        for b in range(a, spec.n):
+            for r in range(spec.dim):
+                if (a, r) != (b, col):
+                    yield a, b, r, col, lambda cs: (2, 1)
+
+
+def series_outcome(check, spec, *args):
+    """check(spec, *args), or the text of the NotEigenvector it raised."""
+    try:
+        return check(spec, *args)
+    except ya.NotEigenvector as exc:
+        return str(exc)
+
+
+def test_not_eigenvector_is_named_as_the_reference_names_it(monkeypatch):
+    """Every corruption of the distinguished column of a T_ij, i <= j, is
+    seen by eigen_series, with the text of the Fraction reference, and
+    data_of_module raises the same error."""
+    from reference_eigen import reference_eigen_series
+    from ylab.drinfeld import data_of_module
+
+    texts = set()
+    for spec in (ModuleSpec.make(2, (0, 1), (1, 1)),
+                 ModuleSpec.make(3, (0, F(1, 2), -1), (1, -2, 3))):
+        for a, b, r, c, change in eigen_corruptions(spec):
+            with monkeypatch.context() as patch:
+                corrupt(patch, spec, a, b, r, c, change)
+                want = series_outcome(reference_eigen_series, spec, a + 1)
+                assert isinstance(want, str)
+                assert series_outcome(eigen_series, spec, a + 1) == want
+                assert series_outcome(data_of_module, spec) == want
+                texts |= {w for w in ("differs", "off itself", "annihilate")
+                          if w in want}
+    assert texts == {"differs", "off itself", "annihilate"}
+
+
 @pytest.mark.parametrize("block", [1, 300, 2000, ya._GRID_BLOCK])
 def test_rtt_grid_blocks(monkeypatch, block):
     """Grid blocks of one pair, of 4 pairs of a row, of 2 rows and of the
