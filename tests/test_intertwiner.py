@@ -537,6 +537,27 @@ def test_word_independence_forms_few_products_when_the_triples_hold(
                          "_module_matrix": 1}
 
 
+def test_every_row_triple_is_checked(monkeypatch):
+    # the first word's operator when every identity holds; a change to
+    # either side of any one of the four triples sends the check to the walk
+    spec = word_battery()[4][1]
+    word = all_reduced_words(4)[0]
+    first = itw._word_pairs(4, word.letters)
+    got = itw._yang_baxter_operator(itw._RootFactors(spec), first)
+    assert got.matrix == build_I(spec, word).matrix
+    products = itw._word_products
+    for s in range(1, 9):
+        def perturbed(factors, orders, s=s):
+            for t, total in products(factors, orders):
+                if t == s:
+                    total = total[:-1] + ((total[-1][0] + 1,)
+                                          + total[-1][1:],)
+                yield t, total
+        monkeypatch.setattr(itw, "_word_products", perturbed)
+        assert itw._yang_baxter_operator(itw._RootFactors(spec),
+                                         first) is None
+
+
 def test_disjoint_pair_factors_commute():
     # a root pair's factor acts on its two rows alone; only the six
     # four-row specs have pairs with no row in common, three couples each
