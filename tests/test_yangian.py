@@ -18,7 +18,9 @@ import ylab.yangian as ya
 from reference_basis import alpha_encode, highest_factor_tuple
 from reference_coproduct import (cleared, reference_action, reference_factor,
                                  reference_table)
+from reference_eigen import reference_eigen_series
 from ylab.battery import dominant_battery, mixed_battery, rtt_battery
+from ylab.drinfeld import data_of_module
 from ylab.exact import (ONE, ZERO, Poly, RatFun, _it_div, _iu_add, _iu_mul,
                         linear)
 from ylab.grassmann import Grassmann
@@ -511,9 +513,6 @@ def test_not_eigenvector_is_named_as_the_reference_names_it(monkeypatch):
     """Every corruption of the distinguished column of a T_ij, i <= j, is
     seen by eigen_series, with the text of the Fraction reference, and
     data_of_module raises the same error."""
-    from reference_eigen import reference_eigen_series
-    from ylab.drinfeld import data_of_module
-
     texts = set()
     for spec in (ModuleSpec.make(2, (0, 1), (1, 1)),
                  ModuleSpec.make(3, (0, F(1, 2), -1), (1, -2, 3))):
