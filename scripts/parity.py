@@ -10,9 +10,14 @@ root pair's), the jobs are `build`, `intertwine`, `drinfeld` and `verify --suite
 every suite S the CLI accepts for that spec (`words` needs m <= 4,
 `lemma41` dim <= 16, `iso` n <= 4).  On the WIDE_GAPS specs, whose row
 shifts lie up to 10^3 apart on one integer chain, they are `drinfeld`
-and `verify --suite drinfeld`.  One child process per tree runs them
-all through `cli.main`, without a cache.  Each job's exit code, or the
-exception that escaped `cli.main`, its stdout and its stderr are compared.
+and `verify --suite drinfeld`.  USAGE adds a fixed set of help
+requests and usage errors: each command with `-h`, a missing flag or
+flag value, an unknown flag, a bad integer, an abbreviation and a stray
+token, a bad or ambiguous `--suite`, and argv with no command or an
+unknown one.  One child process per tree runs them all through
+`cli.main`, without a cache.  Each job's exit code (argparse's
+`SystemExit` code, for help and usage errors), or the exception that
+escaped `cli.main`, its stdout and its stderr are compared.
 No CLI command calls `image_analysis`, so the same child also reports it,
 for every spec of dim <= 64, on `build_I(spec)` and on the identity
 operator: the rank, the image basis and the verdict, or the exception
@@ -55,6 +60,35 @@ WIDE_GAPS = (
     (2, ("-400", "600", "-400"), (2, 1, -1)),
 )
 
+SPEC = ["--n", "2", "--mu", "0,0", "--nu", "2,1"]
+COMMANDS = ("build", "intertwine", "drinfeld", "realize", "reduce",
+            "verify")
+# Help requests and usage errors, which argparse answers with SystemExit,
+# and valid jobs that spell their flags by abbreviation.
+USAGE = (
+    [[command, "-h"] for command in COMMANDS]
+    + [[command, "--zzz"] for command in COMMANDS]
+    + [[command, "stray"] for command in COMMANDS]
+    + [[command, "--out"] for command in COMMANDS]
+    + [[command, "--n", "x"] for command in COMMANDS]
+    + [
+        [], ["-h"], ["--help"], ["bogus"], ["bogus", "-h"], ["-x", "build"],
+        ["--", "build"], ["--n", "2", "build"], ["build", "--m", "x"] + SPEC,
+        ["verify"] + SPEC, ["reduce"], ["verify", "--suite"] + SPEC,
+        ["verify", "--suite", "nope"] + SPEC,
+        ["verify", "--s", "rtt"] + SPEC,
+        ["verify", "--suite", "rtt", "--samples", "x"] + SPEC,
+        ["verify", "--su", "rtt", "--sa", "169"] + SPEC,
+        ["verify", "--suite", "rtt"] + SPEC + ["extra"],
+        ["intertwine", "--wo", "1", "--n", "2", "--mu", "0,-2",
+         "--nu", "1,1"],
+        ["drinfeld", "--n=2", "--mu=0,0", "--nu=2,1"],
+        ["build", "--n", "2", "--m", "2", "--mu", "0,0", "--nu", "2,1"],
+        ["build", "--he"], ["build", "--", "--n"], ["build", "-h", "--zzz"],
+        ["reduce", "--n", "2", "--word", "1"],
+        ["realize", "--n", "2"], ["intertwine", "--word"] + SPEC,
+    ])
+
 
 def jobs() -> tuple[list[list[str]], dict]:
     """The argv of every job, and the [n, mu, nu] of the specs of each
@@ -87,7 +121,7 @@ def jobs() -> tuple[list[list[str]], dict]:
                  "--nu=" + ",".join(map(str, nu))]
         out += [["drinfeld"] + flags,
                 ["verify", "--suite", "drinfeld"] + flags]
-    return out, {"images": images,
+    return out + USAGE, {"images": images,
                  "elementary": [encode(spec) for spec in dominant_battery()
                                 if min(spec.nu) >= 0],
                  "flips": list(map(encode, mixed_battery()))}
@@ -151,6 +185,8 @@ def child() -> None:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(argv)
+            except SystemExit as stop:  # help or a usage error
+                code = ["SystemExit", stop.code]
             except Exception as exc:  # a crash is a result to compare too
                 code = f"uncaught {type(exc).__name__}: {exc}"
         results.append([code, out.getvalue(), err.getvalue()])
@@ -239,8 +275,9 @@ def main(argv=None) -> int:
                       f"  this checkout: {b!r}")
                 return 1
     counts = ", ".join(f"{len(rows)} {key}" for key, rows in ours[1].items())
-    print(f"{len(argvs)} jobs: exit codes, stdout and stderr identical"
-          f" to {args.rev}; reports identical: {counts}")
+    print(f"{len(argvs) - len(USAGE)} jobs and {len(USAGE)} help and usage"
+          f" argv: exit codes, stdout and stderr identical to {args.rev};"
+          f" reports identical: {counts}")
     return 0
 
 

@@ -13,7 +13,6 @@ violation, 4 forbidden weight difference.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -81,6 +80,8 @@ class JobConfig:
         return jsonio.dumps(doc)
 
     def key(self) -> str:
+        import hashlib  # only a cached job pays for it at start-up
+
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
 
 
@@ -309,9 +310,17 @@ def _invalid(reason: object) -> int:
 
 
 def _emit(text: str, out: Optional[str], code: int) -> int:
-    """Write the report; returns code, or 2 if --out cannot be written."""
+    """Write the report; returns code, or 2 if it cannot be written."""
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe, a full device
+            # the flush at exit would fail again: send it nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return _invalid(f"cannot write stdout: {exc}")
         return code
     try:
         with open(out, "w", encoding="utf-8") as handle:
@@ -334,6 +343,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ylab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's parser, by name
     sub.add_parser("build", parents=[shared, spec_flags])
     inter = sub.add_parser("intertwine", parents=[shared, spec_flags])
     inter.add_argument("--word", default=None)
@@ -384,21 +394,35 @@ def _job_of_args(args) -> tuple[JobConfig, object]:
     raise MalformedInput(f"unknown command {args.command!r}")
 
 
-# Built once per process: parse_args keeps no state between calls.
+# Built once per process: parsing keeps no state between calls.
 _PARSER = _parser()
 
 
+def _args_of(argv: list[str]) -> argparse.Namespace:
+    """_PARSER.parse_args(argv), with a job handed straight to its command's
+    parser: the whole parser would scan every token for its own options
+    and then run that parser on them anyway.  Any other argv, and all
+    top-level help and usage, is the whole parser's."""
+    command = _PARSER.commands.get(argv[0]) if argv else None
+    if command is None:
+        return _PARSER.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:  # the message and exit parse_args gives
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _PARSER.parse_args(
-        _bind_list_values(sys.argv[1:] if argv is None else argv))
+    args = _args_of(_bind_list_values(sys.argv[1:] if argv is None else argv))
     try:
         config, payload = _job_of_args(args)
         directory = _cache_dir(args)
     except MalformedInput as exc:
         return _invalid(exc)
 
-    key = config.key()
     if directory is not None:
+        key = config.key()
         cached = cache_get(directory, key)
         if cached is not None:
             return _emit(cached, args.out, EXIT_OK)

@@ -1,6 +1,7 @@
 """Runner-level exercises of the command-line front end."""
 
 import argparse
+import contextlib
 import errno
 import io
 import json
@@ -10,6 +11,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ylab import cli
 
@@ -148,6 +151,68 @@ def test_shared_parser_keeps_no_state(capsys, monkeypatch):
     for order in (PARSER_PROBES, PARSER_PROBES[::-1], PARSER_PROBES * 2):
         for argv in order:
             assert _outcome(capsys, argv) == fresh[tuple(argv)], argv
+
+
+def _parsed(parse, argv):
+    """parse(argv)'s namespace as a dict, or its SystemExit code, with what
+    it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as stop:
+            result = ("SystemExit", stop.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+COMMANDS = ("build", "intertwine", "drinfeld", "realize", "reduce", "verify")
+# Tokens left over after each command's own flags, which its parser hands
+# back and the whole parser reports.
+LEFTOVER_PROBES = [[command, "--zzz"] for command in COMMANDS] + [
+    ["verify", "--suite", "rtt"] + SPEC21 + ["extra"],
+    ["realize", "stray", "--out", "x"],
+    ["reduce", "--n", "2", "--", "--n"],
+    ["build", "--zzz", "-h"],
+    ["drinfeld", "-x"] + SPEC21,
+    ["intertwine", "--word", "1", "1", "--mu=0"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_PROBES + LEFTOVER_PROBES)
+def test_command_parser_answers_as_the_whole_parser(argv):
+    argv = cli._bind_list_values(argv)
+    assert (_parsed(cli._args_of, argv)
+            == _parsed(cli._PARSER.parse_args, argv))
+
+
+# Commands, each command's flags and abbreviations of them, help, the
+# separator, unknown flags and values, valid and not.
+ARGV_TOKENS = list(COMMANDS) + list(cli.LONG_FLAGS) + [
+    "--su", "--sa", "--w", "--c", "--o", "--he", "--s", "--m=2", "--n=2",
+    "--suite=rtt", "--mu=-1,0", "-h", "--", "--zzz", "-x", "2", "-2", "x",
+    "0,0", "1,-1", "-1,1", "rtt", "lemma41", "nope", "", "extra"]
+
+
+@settings(max_examples=400)
+@given(head=st.sampled_from(list(COMMANDS) * 4 + ["bogus", "-h", "--",
+                                                  "--n"]),
+       tail=st.lists(st.sampled_from(ARGV_TOKENS), max_size=8))
+def test_property_command_parser_answers_as_the_whole_parser(head, tail):
+    argv = cli._bind_list_values([head] + tail)
+    assert (_parsed(cli._args_of, argv)
+            == _parsed(cli._PARSER.parse_args, argv))
+
+
+def test_each_job_is_parsed_once(capsys, monkeypatch):
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda self, *a, **k: calls.append(self.prog)
+                        or parse(self, *a, **k))
+    for argv, stdin in ONE_JOB_EACH:
+        calls.clear()
+        assert run(capsys, monkeypatch, argv, stdin)[0] == 0
+        assert calls == [f"ylab {argv[0]}"], argv
 
 
 def test_build_reads_spec_from_stdin(capsys, monkeypatch):
@@ -583,3 +648,46 @@ def test_cache_env_overrides_an_empty_cache_dir(capsys, monkeypatch,
                          ["build", "--cache-dir", ""] + SPEC21)
     assert (code, err) == (0, "") and out
     assert [p.parent for p in tmp_path.rglob("*.json")] == [cache]
+
+
+# ------------------------------------------------------------------- stdout
+
+def run_to(stdout, unbuffered):
+    """Run a build job in a child process whose stdout is the given file,
+    unbuffered or not ("1" or ""); returns the CompletedProcess, its stderr
+    as text."""
+    env = dict(os.environ, YLAB_CACHE="", PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (os.path.dirname(os.path.dirname(cli.__file__)),
+                      env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "ylab.cli", "build"]
+                          + SPEC21, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=60)
+
+
+def assert_stdout_refused(done):
+    assert done.returncode == 2
+    assert done.stderr.startswith("invalid input: cannot write stdout:")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+# Buffered, the report fails only when flushed; unbuffered, when written.
+UNBUFFERED = pytest.mark.parametrize("unbuffered", ["", "1"],
+                                     ids=["buffered", "unbuffered"])
+
+
+@UNBUFFERED
+def test_closed_stdout_pipe_is_invalid(unbuffered):
+    read, write = os.pipe()
+    os.close(read)  # no reader: every write fails with EPIPE
+    try:
+        assert_stdout_refused(run_to(write, unbuffered))
+    finally:
+        os.close(write)
+
+
+@UNBUFFERED
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_device_is_invalid(unbuffered):
+    with open("/dev/full", "w") as full:
+        assert_stdout_refused(run_to(full, unbuffered))
