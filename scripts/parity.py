@@ -31,7 +31,11 @@ operators or the complementation either, so the child also gives the
 `elementary` `I_a`, `J_a` and `J_a_prime` matrices, or the exception
 raised, for every a on the dominant specs whose degrees are all
 nonnegative, and the `R_eps` and `dual_iso` matrices (with the latter's
-target spec) on the mixed battery.  These are compared like the jobs.
+target spec) on the mixed battery.  `verify --suite lemma41` prints only
+`dim` and `passed`, so the child also gives `repr(eigenform_check(spec))`,
+or the `NoCandidateFactorization` text, for every spec of dim <= 64 of
+the rtt battery and the specs above: the spectrum of each T_ii with its
+labels and multiplicities.  These are compared like the jobs.
 The first difference is printed and the exit code is 1; with none it
 prints the counts and exits 0.  A REV git cannot export, or a tree whose
 run fails, exits 2.  It takes about 30 s on a 2-core machine.
@@ -92,10 +96,11 @@ USAGE = (
 
 def jobs() -> tuple[list[list[str]], dict]:
     """The argv of every job, and the [n, mu, nu] of the specs of each
-    report of the child ("images", "elementary", "flips"), built from this
-    checkout's batteries."""
+    report of the child ("images", "elementary", "flips", "spectra"), built
+    from this checkout's batteries."""
     sys.path.insert(0, str(ROOT / "src"))
-    from ylab.battery import dominant_battery, mixed_battery, word_battery
+    from ylab.battery import (dominant_battery, mixed_battery, rtt_battery,
+                              word_battery)
     from ylab.cli import SUITES
     from ylab.exact import q_str
 
@@ -121,10 +126,13 @@ def jobs() -> tuple[list[list[str]], dict]:
                  "--nu=" + ",".join(map(str, nu))]
         out += [["drinfeld"] + flags,
                 ["verify", "--suite", "drinfeld"] + flags]
+    spectra = [encode(spec) for spec in dict.fromkeys(rtt_battery() + specs)
+               if spec.dim <= 64]
     return out + USAGE, {"images": images,
                  "elementary": [encode(spec) for spec in dominant_battery()
                                 if min(spec.nu) >= 0],
-                 "flips": list(map(encode, mixed_battery()))}
+                 "flips": list(map(encode, mixed_battery())),
+                 "spectra": spectra}
 
 
 def image_report(spec, inter) -> list:
@@ -155,6 +163,16 @@ def tails_report(spec) -> list:
               for c, x in enumerate(row) if x]] for mat in mats]
 
 
+def spectrum_report(spec) -> str:
+    """repr(eigenform_check(spec)), or the NoCandidateFactorization text."""
+    from ylab.yangian import NoCandidateFactorization, eigenform_check
+
+    try:
+        return repr(eigenform_check(spec))
+    except NoCandidateFactorization as exc:
+        return f"raised NoCandidateFactorization: {exc}"
+
+
 def matrix_report(build, *args) -> list:
     """The target (a spec, or a map's weights) and the matrix of
     build(*args) as strings, or the exception raised."""
@@ -168,9 +186,9 @@ def matrix_report(build, *args) -> list:
 
 def child() -> None:
     """Run the argv list on stdin through cli.main, and image_analysis,
-    laurent_tail_matrices, elementary, R_eps and dual_iso on the listed
-    specs; print the results, the reports as {name: [[label, report],
-    ...]}."""
+    laurent_tail_matrices, elementary, R_eps, dual_iso and eigenform_check
+    on the listed specs; print the results, the reports as {name: [[label,
+    report], ...]}."""
     from fractions import Fraction
 
     from ylab import cli, intertwiner
@@ -216,6 +234,8 @@ def child() -> None:
         "laurent_tail_matrices": [[f"the tails of {spec}", tails_report(spec)]
                                   for spec in spec_lists["images"]
                                   if spec.dim <= 16],
+        "eigenform_check": [[f"the spectra of {spec}", spectrum_report(spec)]
+                            for spec in spec_lists["spectra"]],
     }
     # no verdict is proved mod p: the exact elimination decides every one
     intertwiner._CLOSURE_PRIMES = ()

@@ -304,30 +304,61 @@ def cmd_verify(spec: ModuleSpec, suite: str,
 
 # ------------------------------------------------------------------ driver
 
+def _write(stream, text: str) -> Optional[str]:
+    """Write text to sys.stdout or sys.stderr and flush it; None, or why
+    it cannot be written (a closed pipe, a full device, no stream)."""
+    if stream is None:  # its descriptor was closed when the process began
+        return "the stream is closed"
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        # the flush at exit would fail again: send it nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return str(exc)
+    return None
+
+
+def _message(text: str, code: int) -> int:
+    """Write a message to stderr; returns code, or 2 if it cannot be
+    written."""
+    return code if _write(sys.stderr, text) is None else EXIT_INVALID
+
+
 def _invalid(reason: object) -> int:
-    sys.stderr.write(f"invalid input: {reason}\n")
-    return EXIT_INVALID
+    return _message(f"invalid input: {reason}\n", EXIT_INVALID)
 
 
 def _emit(text: str, out: Optional[str], code: int) -> int:
     """Write the report; returns code, or 2 if it cannot be written."""
     if out is None:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError as exc:  # a closed pipe, a full device
-            # the flush at exit would fail again: send it nowhere
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            return _invalid(f"cannot write stdout: {exc}")
-        return code
+        error = _write(sys.stdout, text)
+        return code if error is None else _invalid(
+            f"cannot write stdout: {error}")
     try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         return _invalid(f"cannot write --out: {exc}")
     return code
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with help on stdout and usage errors on stderr
+    written as reports and messages are: one that cannot be written ends
+    the process with exit 2."""
+
+    def _print_message(self, message, file=None):
+        if message and (_emit(message, None, EXIT_OK) if file is sys.stdout
+                        else _message(message, EXIT_OK)):
+            raise SystemExit(EXIT_INVALID)
+
+    def error(self, message):
+        if sys.stderr is None:  # argparse would print the usage to stdout
+            raise SystemExit(EXIT_INVALID)
+        super().error(message)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -340,8 +371,7 @@ def _parser() -> argparse.ArgumentParser:
     spec_flags.add_argument("--mu", default=None)
     spec_flags.add_argument("--nu", default=None)
 
-    parser = argparse.ArgumentParser(
-        prog="ylab", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="ylab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # each command's parser, by name
     sub.add_parser("build", parents=[shared, spec_flags])
@@ -443,11 +473,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (MalformedInput, NoSolution, CommonZeroes, IrrationalRoots) as exc:
         return _invalid(exc)
     except NotDominant as exc:
-        sys.stderr.write(f"not dominant: {exc}\n")
-        return EXIT_DOMINANCE
+        return _message(f"not dominant: {exc}\n", EXIT_DOMINANCE)
     except ForbiddenWeightDifference as exc:
-        sys.stderr.write(f"weight singularity: {exc}\n")
-        return EXIT_WEIGHT
+        return _message(f"weight singularity: {exc}\n", EXIT_WEIGHT)
 
     text = jsonio.dumps(doc)
     if directory is not None and code == EXIT_OK:
@@ -457,7 +485,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 ValueError) as exc:  # not a directory, or a NUL in the path
             return _invalid(f"cannot write the cache entry: {exc}")
         except OSError as exc:  # a full or read-only disk: report anyway
-            sys.stderr.write(f"warning: cannot write the cache entry: {exc}\n")
+            if _message(f"warning: cannot write the cache entry: {exc}\n",
+                        EXIT_OK):
+                return EXIT_INVALID
     return _emit(text, args.out, code)
 
 

@@ -13,7 +13,10 @@ reduced, positive denominator, arbitrary precision).  This module adds:
                  no trailing zeros, [] is zero) and Z[u][t] (lists of those,
                  low t first), which the module table, the characteristic
                  polynomials, intertwine_check and Poly's +, -, * share;
-                 _iu_addto sums in place and leaves the trim to its caller.
+                 _iu_addto sums in place and leaves the trim to its caller;
+                 _iu_quo is the one exact division in Z[u], behind _iu_div
+                 (which raises when it fails) and _it_deflate (one synthetic
+                 division by D*t - N, the spectra's root test).
 
 No floating point is used anywhere; equality is always structural equality of
 canonical forms.
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -104,8 +107,8 @@ def _iu_addto(acc: list, b: Sequence, x: int) -> None:
         acc[i] += x * y
 
 
-def _iu_div(a: list[int], b: list[int]) -> list[int]:
-    """Exact division in Z[u]; the quotient is promised to be integral."""
+def _iu_quo(a: Sequence, b: Sequence) -> Optional[list[int]]:
+    """a / b in Z[u], or None when b does not divide a there."""
     if not a:
         return []
     rem = list(a)
@@ -114,15 +117,22 @@ def _iu_div(a: list[int], b: list[int]) -> list[int]:
     for k in range(len(out) - 1, -1, -1):
         c, frac = divmod(rem[k + len(b) - 1], lead)
         if frac:
-            raise ArithmeticError("inexact division in characteristic"
-                                  " polynomial")
+            return None
         out[k] = c
         if c:
             for i, y in enumerate(b):
                 rem[k + i] -= c * y
     if any(rem[: len(b) - 1]):
-        raise ArithmeticError("inexact division in characteristic polynomial")
+        return None
     return _iu_trim(out)
+
+
+def _iu_div(a: list[int], b: list[int]) -> list[int]:
+    """Exact division in Z[u]; the quotient is promised to be integral."""
+    out = _iu_quo(a, b)
+    if out is None:
+        raise ArithmeticError("inexact division in characteristic polynomial")
+    return out
 
 
 def _it_mul(a, b):
@@ -160,6 +170,30 @@ def _it_div(a, b):
                 a[k + i] = _iu_sub(a[k + i], _iu_mul(c, y))
     if any(a[i] for i in range(len(b) - 1)):
         raise ArithmeticError("inexact division in characteristic polynomial")
+    return out
+
+
+def _it_deflate(a, N: Sequence, D: Sequence) -> Optional[list]:
+    """a / (D*t - N) in Z[u][t], or None when D*t - N does not divide a.
+
+    One synthetic division from the top: for a = sum c_k t^k of degree d
+    the quotient has q_(d-1) = c_d / D and q_(k-1) = (c_k + N q_k) / D,
+    and the remainder is c_0 + N q_0.  When D*t - N is primitive (no
+    nonconstant or integer factor divides both N and D), Gauss's lemma puts
+    any quotient in Z[u][t] (von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 6), so a step that does not divide exactly by D proves
+    that it is no factor, as a nonzero remainder does.
+    """
+    out, carry = [], []
+    for c in reversed(a[1:]):
+        q = _iu_quo(_iu_add(c, carry), D)
+        if q is None:
+            return None
+        out.append(q)
+        carry = _iu_mul(N, q)
+    if _iu_add(a[0], carry):
+        return None
+    out.reverse()
     return out
 
 

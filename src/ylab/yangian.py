@@ -25,8 +25,8 @@ from functools import lru_cache, reduce
 from math import comb, gcd, isqrt, prod
 from typing import Optional, Sequence
 
-from .exact import (ONE, ZERO, Poly, RatFun, _cleared, _it_div, _it_mul,
-                    _it_sub, _iu_add, _iu_mul, linear, q)
+from .exact import (ONE, ZERO, Poly, RatFun, _cleared, _it_deflate, _it_div,
+                    _it_mul, _it_sub, _iu_mul, linear, q)
 from .grassmann import perm_apply
 
 
@@ -664,6 +664,25 @@ def _support_blocks(support, dim: int) -> list[list[int]]:
     return blocks
 
 
+def _split(char, pairs: list) -> tuple[list, int]:
+    """Deflate char by each primitive candidate (N, D) of pairs in turn.
+
+    Returns the (index in pairs, multiplicity) of every candidate that
+    divides char, and the degree left when none divides it any more.
+    """
+    found = []
+    for k, (N, D) in enumerate(pairs):
+        mult = 0
+        while len(char) > 1:
+            quo = _it_deflate(char, N, D)
+            if quo is None:
+                break
+            char, mult = quo, mult + 1
+        if mult:
+            found.append((k, mult))
+    return found, len(char) - 1
+
+
 def eigenform_check(spec: ModuleSpec) -> EigenReport:
     """Verify every T_ii(u) has spectrum drawn from the product-form list.
 
@@ -671,11 +690,10 @@ def eigenform_check(spec: ModuleSpec) -> EigenReport:
     in Z[u][t] and deflates it by candidate roots
     g = prod_{a in I} (u-mu_a+1)/(u-mu_a) * prod_{a in J} (u-mu_a)/(u-mu_a+1);
     raises NoCandidateFactorization if any factor refuses to split.  With
-    g = N/D cleared to integers and primitive, g is a root of the degree-d
-    polynomial sum c_k t^k exactly when sum c_k N^k D^(d-k) = 0 in Z[u], and
-    D*t - N is then primitive in Z[u][t], so by Gauss's lemma it divides the
-    polynomial there (von zur Gathen and Gerhard, Modern Computer Algebra,
-    ch. 6): every step is exact integer arithmetic.
+    g = N/D cleared to integers and primitive, D*t - N is primitive in
+    Z[u][t], so one synthetic division by it (exact._it_deflate) tells
+    whether g is a root and, if so, gives the quotient: every step is exact
+    integer arithmetic.
 
     The matrix is read in integers from action_table, over its
     denominator, and split first into the connected components of its
@@ -686,6 +704,9 @@ def eigenform_check(spec: ModuleSpec) -> EigenReport:
     factorisation in Q(u)[t] a candidate's multiplicity in the whole is the
     sum of its multiplicities in the blocks.  The blocks are small because
     T_ii(u) keeps the gl_n weight, but the split does not rest on that.
+    Blocks repeat, within one T_ii and across them, so within one call each
+    distinct block (its size and entries) takes one elimination, and each
+    distinct polynomial is split once and its multiplicities reused.
     """
     if spec.dim > 64:
         raise ValueError("spectrum check is limited to dimension <= 64")
@@ -693,6 +714,9 @@ def eigenform_check(spec: ModuleSpec) -> EigenReport:
     cands = [(_primitive_pair(g), label) for g, label
              in sorted(eigen_candidates(spec).items(),
                        key=lambda kv: str(kv[0]))]
+    pairs = [pair for pair, _ in cands]
+    chars: dict = {}  # a block's size and entries -> its polynomial
+    splits: dict = {}  # a block's polynomial -> _split of it
     spectra = []
     for i in range(spec.n):
         support = table[i][i]
@@ -703,30 +727,25 @@ def eigenform_check(spec: ModuleSpec) -> EigenReport:
         for r, c, cs in support:
             (b, k), (_, kc) = home[r], home[c]
             parts[b][k, kc] = cs
-        chars = [_char_poly_in_t(part, den, len(block))
-                 for part, block in zip(parts, blocks)]
-        counts = []
-        for (N, D), label in cands:
-            mult = 0
-            for b, char in enumerate(chars):
-                while len(char) > 1:
-                    val, dpow = char[-1], [1]
-                    for c in reversed(char[:-1]):
-                        dpow = _iu_mul(dpow, D)
-                        val = _iu_add(_iu_mul(val, N), _iu_mul(c, dpow))
-                    if val:
-                        break
-                    char = _it_div(char, [[-x for x in N], D])
-                    mult += 1
-                chars[b] = char
-            if mult:
-                counts.append((label[0], label[1], mult))
-        left = sum(len(char) - 1 for char in chars)
+        mults, left = [0] * len(cands), 0
+        for part, block in zip(parts, blocks):
+            entries = (len(block), tuple(part.items()))
+            char = chars.get(entries)
+            if char is None:
+                char = chars[entries] = tuple(map(tuple, _char_poly_in_t(
+                    part, den, len(block))))
+            split = splits.get(char)
+            if split is None:
+                split = splits[char] = _split(char, pairs)
+            for k, mult in split[0]:
+                mults[k] += mult
+            left += split[1]
         if left:
             raise NoCandidateFactorization(
                 f"T_{i + 1}{i + 1} spectrum does not split into product forms"
                 f" (degree {left} left) on {spec}")
-        spectra.append(tuple(counts))
+        spectra.append(tuple((I, J, mult) for (_, (I, J)), mult
+                             in zip(cands, mults) if mult))
     if any(s != spectra[0] for s in spectra[1:]):
         raise NoCandidateFactorization(
             f"diagonal spectra differ between indices on {spec}")

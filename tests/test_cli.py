@@ -652,17 +652,27 @@ def test_cache_env_overrides_an_empty_cache_dir(capsys, monkeypatch,
 
 # ------------------------------------------------------------------- stdout
 
-def run_to(stdout, unbuffered):
-    """Run a build job in a child process whose stdout is the given file,
-    unbuffered or not ("1" or ""); returns the CompletedProcess, its stderr
-    as text."""
+def run_ylab(argv, unbuffered, stdout=subprocess.PIPE,
+             stderr=subprocess.PIPE, closed=None):
+    """Run ylab argv in a child process with the given stdout and stderr,
+    unbuffered or not ("1" or ""), and with descriptor closed (1 or 2)
+    closed before it starts; returns the CompletedProcess, its output as
+    text."""
     env = dict(os.environ, YLAB_CACHE="", PYTHONUNBUFFERED=unbuffered)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (os.path.dirname(os.path.dirname(cli.__file__)),
                       env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "ylab.cli", "build"]
-                          + SPEC21, stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, env=env, timeout=60)
+    return subprocess.run(
+        [sys.executable, "-m", "ylab.cli"] + argv, stdout=stdout,
+        stderr=stderr, text=True, env=env, timeout=60,
+        preexec_fn=None if closed is None else lambda: os.close(closed))
+
+
+def run_to(stdout, unbuffered):
+    """Run a build job in a child process whose stdout is the given file,
+    unbuffered or not ("1" or ""); returns the CompletedProcess, its stderr
+    as text."""
+    return run_ylab(["build"] + SPEC21, unbuffered, stdout=stdout)
 
 
 def assert_stdout_refused(done):
@@ -691,3 +701,58 @@ def test_closed_stdout_pipe_is_invalid(unbuffered):
 def test_full_stdout_device_is_invalid(unbuffered):
     with open("/dev/full", "w") as full:
         assert_stdout_refused(run_to(full, unbuffered))
+
+
+INVALID_SPEC = ["build", "--n", "2", "--mu", "0", "--nu", "3"]
+NOT_DOMINANT = ["intertwine", "--n", "2", "--mu", "0,1", "--nu", "1,1"]
+# argv, and the descriptor that is /dev/full ("full") or closed at start
+UNWRITABLE = [
+    (["build", "-h"], 1, "full"), (["-h"], 1, "full"),
+    (["build", "-h"], 1, "closed"), (["build"] + SPEC21, 1, "closed"),
+    (INVALID_SPEC, 2, "full"), (INVALID_SPEC, 2, "closed"),
+    (["build", "--zzz"], 2, "full"), (["build", "--zzz"], 2, "closed"),
+    ([], 2, "full"), (NOT_DOMINANT, 2, "full"), (NOT_DOMINANT, 2, "closed"),
+]
+
+
+@UNBUFFERED
+@pytest.mark.parametrize("argv, fd, how", UNWRITABLE,
+                         ids=[f"{' '.join(argv) or 'none'}-{fd}-{how}"
+                              for argv, fd, how in UNWRITABLE])
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_unwritable_output_exits_invalid(argv, fd, how, unbuffered):
+    """Help, usage errors, reports and every stderr message go through one
+    guarded write: whatever the job's own exit code (0 for help, 1 never,
+    2 for usage, 3 not dominant), a stream that cannot be written ends it
+    with exit 2.  A failed stdout is named on stderr in one line; a failed
+    stderr leaves stdout empty, with no second attempt."""
+    with open("/dev/full", "w") as full:
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        name = ("stdout", "stderr")[fd - 1]
+        if how == "full":
+            streams[name] = full
+        done = run_ylab(argv, unbuffered, closed=fd if how == "closed"
+                        else None, **streams)
+    assert done.returncode == 2
+    if fd == 1:
+        assert done.stderr.startswith("invalid input: cannot write stdout:")
+        assert done.stderr.count("\n") == 1
+    else:
+        assert done.stdout == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_unwritable_cache_warning_exits_invalid(capsys, monkeypatch,
+                                                tmp_path):
+    """The warning of a cache entry that cannot be stored is written as
+    every message is: when stderr is full the job exits 2 and writes no
+    report."""
+    def refused(directory, key, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "cache_put", refused)
+    with open("/dev/full", "w") as full:
+        monkeypatch.setattr("sys.stderr", full)
+        code = cli.main(["build", "--cache-dir", str(tmp_path)] + SPEC21)
+    assert code == 2
+    assert capsys.readouterr().out == ""

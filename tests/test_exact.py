@@ -10,6 +10,8 @@ import hypothesis.strategies as st
 from reference_factors import pochhammer
 from ylab.exact import (
     NEG_INF, ONE, U, ZERO, IrrationalRoots, PoleEvaluation, Poly, RatFun,
+    _it_deflate, _it_div, _it_mul, _iu_add, _iu_div, _iu_mul, _iu_quo,
+    _iu_trim,
     factor_linear, linear, poly_gcd, q, q_str,
 )
 
@@ -134,6 +136,69 @@ def test_factor_linear_mixed_irreducible():
     # (u^2 + 1)(u - 1) has exactly one rational root but does not split
     with pytest.raises(IrrationalRoots):
         factor_linear(Poly((1, 0, 1)) * linear(1))
+
+
+# -- Z[u] and Z[u][t] division ---------------------------------------------
+
+int_polys = st.lists(st.integers(-6, 6), max_size=4).map(_iu_trim)
+nonzero_int_polys = int_polys.filter(bool)
+
+
+def _is_primitive(N, D):
+    """No nonconstant polynomial and no integer > 1 divides both N and D."""
+    return (math.gcd(*N, *D) == 1
+            and poly_gcd(Poly(N), Poly(D)).degree <= 0)
+
+
+primitive_pairs = st.tuples(int_polys, nonzero_int_polys).filter(
+    lambda pair: _is_primitive(*pair))
+t_polys = st.lists(int_polys, min_size=1, max_size=3).filter(
+    lambda a: a[-1])
+
+
+def deflate_by_evaluation(a, N, D):
+    """The deflation eigenform_check used to run: g = N/D is a root of
+    sum c_k t^k exactly when sum c_k N^k D^(d-k) = 0, and then _it_div
+    divides by D*t - N."""
+    val, dpow = a[-1], [1]
+    for c in reversed(a[:-1]):
+        dpow = _iu_mul(dpow, D)
+        val = _iu_add(_iu_mul(val, N), _iu_mul(c, dpow))
+    return None if val else _it_div(a, [[-x for x in N], D])
+
+
+@given(nonzero_int_polys, nonzero_int_polys)
+def test_iu_quo_divides_exactly_or_refuses(a, b):
+    prod = _iu_mul(a, b)
+    assert _iu_quo(prod, b) == _iu_div(prod, b) == a
+    off = _iu_add(prod, [1])  # off by one: divisible only by a unit b
+    if len(b) > 1 or abs(b[0]) > 1:
+        assert _iu_quo(off, b) is None
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            _iu_div(off, b)
+
+
+@given(primitive_pairs, t_polys, st.data())
+@settings(max_examples=300, deadline=None)
+def test_synthetic_division_matches_evaluate_then_divide(pair, cofactor,
+                                                         data):
+    """On a multiple of D*t - N, on it plus one term r*t^k (k = 0: every
+    step but the remainder divides exactly), and on random t-polynomials,
+    one synthetic division gives the quotient or None as the evaluation
+    and _it_div do."""
+    N, D = pair
+    factor = [[-x for x in N], D]
+    multiple = _it_mul(cofactor, factor)
+    r = data.draw(nonzero_int_polys)
+    k = data.draw(st.integers(0, len(multiple) - 2))
+    shifted = [list(c) for c in multiple]
+    shifted[k] = _iu_add(shifted[k], r)
+    stray = data.draw(t_polys)
+    assert _it_deflate(multiple, N, D) == cofactor
+    if k == 0:
+        assert _it_deflate(shifted, N, D) is None
+    for a in (multiple, shifted, stray):
+        assert _it_deflate(a, N, D) == deflate_by_evaluation(a, N, D)
 
 
 # -- RatFun -----------------------------------------------------------------

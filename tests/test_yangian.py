@@ -773,6 +773,49 @@ def test_spectrum_split_follows_a_corrupted_support(monkeypatch):
     assert outcomes == {ya.EigenReport, str}
 
 
+@pytest.mark.parametrize("spec, distinct", [
+    (ModuleSpec.make(4, (F(-1, 3),), (2,)), 2),
+    (ModuleSpec.make(2, (F(1, 2), F(3, 2)), (1, 1)), 3),
+])
+def test_spectrum_splits_each_distinct_block_polynomial_once(
+        monkeypatch, spec, distinct):
+    """Blocks repeat within and across the T_ii (24 blocks and 6 on these
+    specs); each call eliminates every distinct block once and splits every
+    distinct polynomial once, and a second call does both again."""
+    den, table = ya.action_table(spec)
+    blocks, polys = set(), set()
+    for i in range(spec.n):
+        support = table[i][i]
+        for block in ya._support_blocks(support, spec.dim):
+            local = {r: k for k, r in enumerate(block)}
+            part = {(local[r], local[c]): cs for r, c, cs in support
+                    if r in local}
+            blocks.add((len(block), tuple(sorted(part.items()))))
+            polys.add(tuple(map(tuple, ya._char_poly_in_t(part, den,
+                                                          len(block)))))
+    assert len(polys) == distinct
+    report = dense_eigenform_check(spec)
+    char_poly, split, eliminated, calls = (ya._char_poly_in_t, ya._split,
+                                           [], [])
+
+    def counted_char_poly(entries, den, dim):
+        eliminated.append((dim, tuple(sorted(entries.items()))))
+        return char_poly(entries, den, dim)
+
+    def counted_split(char, pairs):
+        calls.append(tuple(map(tuple, char)))
+        return split(char, pairs)
+
+    monkeypatch.setattr(ya, "_char_poly_in_t", counted_char_poly)
+    monkeypatch.setattr(ya, "_split", counted_split)
+    for _ in range(2):
+        eliminated.clear()
+        calls.clear()
+        assert eigenform_check(spec) == report
+        assert sorted(eliminated) == sorted(blocks)
+        assert sorted(calls) == sorted(polys)
+
+
 def _det(rows):
     """Determinant by Gaussian elimination over Fractions."""
     rows = [list(r) for r in rows]
