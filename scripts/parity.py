@@ -35,7 +35,11 @@ target spec) on the mixed battery.  `verify --suite lemma41` prints only
 `dim` and `passed`, so the child also gives `repr(eigenform_check(spec))`,
 or the `NoCandidateFactorization` text, for every spec of dim <= 64 of
 the rtt battery and the specs above: the spectrum of each T_ii with its
-labels and multiplicities.  These are compared like the jobs.
+labels and multiplicities.  `verify --suite rtt` prints only `pairs`
+and `degree_bound` at one `--samples`, so for every spec of the rtt
+battery the child also gives `repr(rtt_check(spec, samples))`, or the
+exception raised, at the default samples and at need^2 + 1 and
+need^2 + 3 need (need = 4m + 3).  These are compared like the jobs.
 The first difference is printed and the exit code is 1; with none it
 prints the counts and exits 0.  A REV git cannot export, or a tree whose
 run fails, exits 2.  It takes about 30 s on a 2-core machine.
@@ -96,8 +100,8 @@ USAGE = (
 
 def jobs() -> tuple[list[list[str]], dict]:
     """The argv of every job, and the [n, mu, nu] of the specs of each
-    report of the child ("images", "elementary", "flips", "spectra"), built
-    from this checkout's batteries."""
+    report of the child ("images", "elementary", "flips", "spectra", "rtt"),
+    built from this checkout's batteries."""
     sys.path.insert(0, str(ROOT / "src"))
     from ylab.battery import (dominant_battery, mixed_battery, rtt_battery,
                               word_battery)
@@ -132,7 +136,8 @@ def jobs() -> tuple[list[list[str]], dict]:
                  "elementary": [encode(spec) for spec in dominant_battery()
                                 if min(spec.nu) >= 0],
                  "flips": list(map(encode, mixed_battery())),
-                 "spectra": spectra}
+                 "spectra": spectra,
+                 "rtt": list(map(encode, rtt_battery()))}
 
 
 def image_report(spec, inter) -> list:
@@ -173,6 +178,16 @@ def spectrum_report(spec) -> str:
         return f"raised NoCandidateFactorization: {exc}"
 
 
+def rtt_report(spec, samples) -> str:
+    """repr(rtt_check(spec, samples)), or the exception raised."""
+    from ylab.yangian import rtt_check
+
+    try:
+        return repr(rtt_check(spec, samples))
+    except Exception as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+
+
 def matrix_report(build, *args) -> list:
     """The target (a spec, or a map's weights) and the matrix of
     build(*args) as strings, or the exception raised."""
@@ -186,9 +201,9 @@ def matrix_report(build, *args) -> list:
 
 def child() -> None:
     """Run the argv list on stdin through cli.main, and image_analysis,
-    laurent_tail_matrices, elementary, R_eps, dual_iso and eigenform_check
-    on the listed specs; print the results, the reports as {name: [[label,
-    report], ...]}."""
+    laurent_tail_matrices, elementary, R_eps, dual_iso, eigenform_check and
+    rtt_check on the listed specs; print the results, the reports as
+    {name: [[label, report], ...]}."""
     from fractions import Fraction
 
     from ylab import cli, intertwiner
@@ -236,6 +251,12 @@ def child() -> None:
                                   if spec.dim <= 16],
         "eigenform_check": [[f"the spectra of {spec}", spectrum_report(spec)]
                             for spec in spec_lists["spectra"]],
+        "rtt_check": [[f"rtt_check at samples={samples} on {spec}",
+                       rtt_report(spec, samples)]
+                      for spec in spec_lists["rtt"]
+                      for need in [4 * spec.m + 3]
+                      for samples in (None, need * need + 1,
+                                      need * need + 3 * need)],
     }
     # no verdict is proved mod p: the exact elimination decides every one
     intertwiner._CLOSURE_PRIMES = ()

@@ -294,6 +294,8 @@ def cmd_verify(spec: ModuleSpec, suite: str,
            "spec": jsonio.spec_obj(spec)}
     try:
         detail = _suite_detail(spec, suite, samples)
+    except OverflowError as exc:  # n too large to index a basis: no verdict
+        raise MalformedInput(str(exc)) from exc
     except ArithmeticError as exc:
         doc.update({"counterexample": str(exc), "passed": False})
         return EXIT_IDENTITY, doc
@@ -477,7 +479,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ForbiddenWeightDifference as exc:
         return _message(f"weight singularity: {exc}\n", EXIT_WEIGHT)
 
-    text = jsonio.dumps(doc)
+    try:
+        text = jsonio.dumps(doc)
+    except ValueError as exc:  # an integer over the interpreter's digit limit
+        return _invalid(f"cannot write the report: {exc}")
     if directory is not None and code == EXIT_OK:
         try:
             cache_put(directory, key, text)

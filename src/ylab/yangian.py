@@ -13,7 +13,7 @@ factor by factor (the coproduct sums over all intermediate indices), in
 integers on the nonzero entries; rational functions in u are formed only
 where the API returns them.  Verification routines stay symbolic: the
 defining relation holds when the integer coefficients of its residual are
-all zero, and an integer sampling grid is walked only to name a failure.
+all zero.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class NotEigenvector(ArithmeticError):
 
 
 class RelationViolated(ArithmeticError):
-    """A defining-relation sample came out unequal."""
+    """A coefficient of the defining relation's residual is nonzero."""
 
 
 class NoCandidateFactorization(ArithmeticError):
@@ -354,18 +354,6 @@ def eigen_series(spec: ModuleSpec, i: int) -> RatFun:
 
 # -------------------------------------------------- defining-relation check
 
-def _integer_samples(count: int, forbidden: set[Fraction], start: int,
-                     step: int) -> list[int]:
-    """The first count of start, start + step, ... not in forbidden."""
-    poles = {z.numerator for z in forbidden if z.denominator == 1}
-    return list(itertools.islice((t for t in itertools.count(start, step)
-                                  if t not in poles), count))
-
-
-# Grid values, pairs times tested positions, that rtt_check evaluates at once.
-_GRID_BLOCK = 1 << 15
-
-
 @dataclass(frozen=True)
 class RttReport:
     spec: ModuleSpec
@@ -507,14 +495,9 @@ def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
     samples sizes an integer grid, with more than 4m + 2 values per axis
     off the poles, on which agreement would also prove the relation (both
     sides have degree at most 4m + 2 in each variable); pairs counts that
-    grid, which the identity covers.  The grid is walked only when R is
-    nonzero, to locate the failure: Vandermonde products evaluate R in
-    blocks of at most _GRID_BLOCK values, in int64 only when
-    max|R| sum_k |u|^k sum_l |v|^l < 2**63, which bounds every partial sum.
-    Raises RelationViolated at the first failing (u, v) in row-major order,
-    naming the first failing (i,j,k,l) in lexicographic order, or, when no
-    grid pair fails (a table whose degree exceeds the bound), at the first
-    nonzero coefficient of R in C order.
+    grid, which the identity covers, and no pair of it is evaluated.  A
+    nonzero R raises RelationViolated at its first nonzero coefficient in
+    C order, naming that coefficient's (i,j,k,l) and powers of u and v.
     """
     import numpy as np
 
@@ -527,53 +510,12 @@ def rtt_check(spec: ModuleSpec, samples: Optional[int] = None) -> RttReport:
     codes, R = _residual_coefficients(spec)
     if not R.any():
         return RttReport(spec, per_axis * per_axis, 4 * spec.m + 2, True)
-
-    def fails(s: int, where: str) -> RelationViolated:
-        bad = np.unravel_index(codes[s], (spec.n,) * 4 + (spec.dim,) * 2)
-        a, b, c, d = (int(x) + 1 for x in bad[:4])
-        return RelationViolated(
-            f"defining relation fails at (i,j,k,l)=({a},{b},{c},{d}),"
-            f" {where} on {spec}")
-
-    poles = {z for z in spec.mu} | {z - 1 for z in spec.mu}
-    us = _integer_samples(per_axis, poles, 1, 1)
-    vs = _integer_samples(per_axis, poles, -1, -1)
-    degrees = range(len(R))
-
-    def reach(ws: list[int]) -> int:
-        return sum(max(map(abs, ws)) ** k for k in degrees)
-
-    peak = max(int(R.max(initial=0)), -int(R.min(initial=0)), 1)
-    dtype = np.int64 if peak * reach(us) * reach(vs) < 2 ** 63 else object
-    by_u = R.reshape(len(degrees), -1).astype(dtype, copy=False)
-
-    # powers_u[i, k] = us[i] ** k, and likewise for vs
-    powers_u, powers_v = (np.array([[w ** k for k in degrees] for w in ws],
-                                   dtype=dtype) for ws in (us, vs))
-
-    # Blocks are whole rows or, when a row is larger than _GRID_BLOCK
-    # (then rows is 1), pieces of one row, taken in row-major order, so
-    # the first failing block holds the first failing pair.  R is nonzero,
-    # so codes is not empty.
-    size = len(codes)
-    cols = min(len(vs), max(1, _GRID_BLOCK // size))
-    rows = max(1, _GRID_BLOCK // (size * cols))
-    for top in range(0, len(us), rows):
-        block_u = us[top:top + rows]
-        # partial[i, l, s]: the coefficient of v^l at (block_u[i], codes[s])
-        partial = (powers_u[top:top + rows] @ by_u).reshape(
-            len(block_u), len(degrees), len(codes))
-        for first in range(0, len(vs), cols):
-            block_v = vs[first:first + cols]
-            # residual[i, j, s] at (block_u[i], block_v[j]) on codes[s]
-            residual = powers_v[first:first + cols] @ partial
-            failing = residual.any(axis=2)
-            if failing.any():
-                i, j = divmod(int(np.flatnonzero(failing)[0]), len(block_v))
-                raise fails(np.flatnonzero(residual[i, j])[0],
-                            f"u={block_u[i]}, v={block_v[j]}")
     k, l, s = np.unravel_index(np.flatnonzero(R)[0], R.shape)
-    raise fails(s, f"coefficient of u^{k} v^{l}")
+    bad = np.unravel_index(codes[s], (spec.n,) * 4 + (spec.dim,) * 2)
+    a, b, c, d = (int(x) + 1 for x in bad[:4])
+    raise RelationViolated(
+        f"defining relation fails at (i,j,k,l)=({a},{b},{c},{d}),"
+        f" coefficient of u^{k} v^{l} on {spec}")
 
 
 # ----------------------------------------- product-form eigenvalue spectrum

@@ -139,7 +139,8 @@ def reference_candidates(spec):
 
 
 def reference_integer_samples(count, forbidden, start, step):
-    """_integer_samples testing each candidate as a Fraction."""
+    """The first count of start, start + step, ... not in forbidden, each
+    tested as a Fraction: the integer sample grid of rtt_check's pairs."""
     out = []
     t = start
     while len(out) < count:

@@ -467,6 +467,30 @@ def test_only_the_rtt_suite_imports_numpy():
     assert done.stderr.splitlines()[-1] == f"{[0] * 12} False"
 
 
+@pytest.mark.parametrize("suite,nu", [("rtt", "0"), ("eigen", "0"),
+                                      ("rtt", "1")])
+def test_verify_basis_past_ssize_t_is_invalid(capsys, monkeypatch, suite,
+                                              nu):
+    # dim 1 or n, but the wedge basis of n = 10^20 cannot be indexed: an
+    # input out of range, not a failed identity
+    assert_rejected(run(capsys, monkeypatch,
+                        ["verify", "--suite", suite, "--n", "1" + "0" * 20,
+                         "--mu", "0", "--nu", nu]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--n", "9" * 3000, "--mu", "0", "--nu", "2"],
+    ["verify", "--suite", "rtt", "--n", "1", "--mu", "0", "--nu", "1",
+     "--samples", "9" * 4300],
+], ids=["build-dim", "verify-pairs"])
+def test_report_integer_past_the_digit_limit_is_invalid(capsys, monkeypatch,
+                                                        tmp_path, argv):
+    # dim = C(n, 2) and pairs have over 4300 digits, which json cannot write
+    assert_rejected(run(capsys, monkeypatch,
+                        argv + ["--cache-dir", str(tmp_path)]))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_desk_bounds(capsys, monkeypatch):
     code, _, _ = run(capsys, monkeypatch,
                      ["verify", "--suite", "lemma41", "--n", "3",

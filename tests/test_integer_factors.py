@@ -8,9 +8,9 @@ from itertools import product
 import pytest
 
 import ylab.yangian as ya
-from reference_factors import (reference_candidates, reference_integer_samples,
-                               reference_matrix, reference_relabel,
-                               reference_XY, signed_permutation_rows, sym_act)
+from reference_factors import (reference_candidates, reference_matrix,
+                               reference_relabel, reference_XY,
+                               signed_permutation_rows, sym_act)
 from ylab.battery import dominant_battery, rtt_battery, word_battery
 from ylab.exact import _cleared
 from ylab.glmops import E_op, ForbiddenWeightDifference, XY_op, operator_matrix
@@ -172,12 +172,3 @@ def test_eigen_candidates_match_ratfun_reference():
         want = list(reference_candidates(spec).items())
         assert got == want, spec
         assert [str(k) for k, _ in got] == [str(k) for k, _ in want]
-
-
-@pytest.mark.parametrize("mu", [(0, 3), (-2, 0, 5), (F(1, 2), F(-3, 2)),
-                                (F(1, 3), 2, F(-5, 2)), (1, F(7, 2), -4)])
-def test_integer_samples_match_fraction_reference(mu):
-    poles = {F(z) for z in mu} | {F(z) - 1 for z in mu}
-    for count, start, step in product((1, 7, 19), (1, -1, 0), (1, -1)):
-        assert ya._integer_samples(count, poles, start, step) == \
-            reference_integer_samples(count, poles, start, step)

@@ -19,6 +19,7 @@ from reference_basis import alpha_encode, highest_factor_tuple
 from reference_coproduct import (cleared, reference_action, reference_factor,
                                  reference_table)
 from reference_eigen import reference_eigen_series
+from reference_factors import reference_integer_samples
 from ylab.battery import dominant_battery, mixed_battery, rtt_battery
 from ylab.drinfeld import data_of_module
 from ylab.exact import (ONE, ZERO, Poly, RatFun, _it_div, _iu_add, _iu_mul,
@@ -375,22 +376,34 @@ def test_rtt_rejects_undersampling():
         rtt_check(spec, samples=6)
 
 
-def dense_rtt_check(spec, samples=None):
-    """rtt_check's reference: every product of the dense tensors, by einsum.
-
-    Same table, laid out densely, and the same integer samples as
-    rtt_check, but all n^2 dim^2 entries take part, each grid pair is
-    sampled and compared on its own on the full (n, n, n, n, dim, dim)
-    tensors, and each pair picks int64 or object by its own bound.
-    """
+def reference_grid(spec, samples=None):
+    """The integer sample grid of rtt_check's pairs count, from
+    reference_integer_samples: per_axis values from 1 upwards and from -1
+    downwards, off the poles."""
     need = 4 * spec.m + 3
     samples = need * need if samples is None else samples
     per_axis = max(need, isqrt(samples - 1) + 1)
     poles = set(spec.mu) | {z - 1 for z in spec.mu}
-    us = ya._integer_samples(per_axis, poles, 1, 1)
-    vs = ya._integer_samples(per_axis, poles, -1, -1)
-    n, dim = spec.n, spec.dim
-    _, table = ya.action_table(spec)
+    return (reference_integer_samples(per_axis, poles, 1, 1),
+            reference_integer_samples(per_axis, poles, -1, -1))
+
+
+def dense_residual(spec):
+    """The relation's residual from the dense coefficient tensors, by einsum.
+
+    coeffs[a, b, i, j, p] is the coefficient of w^p in entry (i, j) of the
+    table's T_ab(w), and all n^2 dim^2 entries take part, zero or not.
+    Returns D, an object array with D[p, q, a, b, c, d, i, k] the
+    coefficient of u^p v^q at (i, k) of (u - v)(P[abcd] - Q[cdab]) -
+    (P[cbad] - Q[cbad]), where P[abcd] = T_ab(u) T_cd(v) and Q[abcd] =
+    T_ab(v) T_cd(u).  The last table's residual is kept, as the tests ask
+    for it once per grid size.
+    """
+    return _dense_residual(spec.n, spec.dim, ya.action_table(spec)[1])
+
+
+@functools.lru_cache(maxsize=1)
+def _dense_residual(n, dim, table):
     width = max((len(cs) for row in table for entries in row
                  for _, _, cs in entries), default=0)
     coeffs = np.zeros((n, n, dim, dim, width), dtype=object)
@@ -398,31 +411,49 @@ def dense_rtt_check(spec, samples=None):
         for j in range(n):
             for r, c, cs in table[i][j]:
                 coeffs[i, j, r, c, :len(cs)] = cs
+    P = np.einsum("abijp,cdjkq->pqabcdik", coeffs, coeffs, optimize=True)
+    Q = P.transpose(1, 0, 2, 3, 4, 5, 6, 7)             # u and v swapped
+    lhs = P - Q.transpose(0, 1, 4, 5, 2, 3, 6, 7)       # times u - v
+    rhs = (P - Q).transpose(0, 1, 4, 3, 2, 5, 6, 7)
+    D = np.zeros((width + 1, width + 1) + P.shape[2:], dtype=object)
+    D[1:, :-1] += lhs
+    D[:-1, 1:] -= lhs
+    D[:-1, :-1] -= rhs
+    return D
 
-    def sample(w):
-        mats = coeffs.dot(np.array([w ** k for k in range(width)],
-                                   dtype=object))
-        return mats, np.abs(mats).max()
 
-    for u0 in us:
-        X, bx = sample(u0)
-        for v0 in vs:
-            Y, by = sample(v0)
-            worst = 2 * abs(u0 - v0) * dim * bx * by
-            dtype = np.int64 if worst < 2 ** 62 else object
-            Xd, Yd = X.astype(dtype), Y.astype(dtype)
-            P = np.einsum("abij,cdjk->abcdik", Xd, Yd)
-            Q = np.einsum("abij,cdjk->abcdik", Yd, Xd)
-            lhs = (u0 - v0) * (P - Q.transpose(2, 3, 0, 1, 4, 5))
-            rhs = (P.transpose(2, 1, 0, 3, 4, 5)
-                   - Q.transpose(2, 1, 0, 3, 4, 5))
-            if not (lhs == rhs).all():
-                bad = next(zip(*np.nonzero(lhs != rhs)))
-                i, j, k, l = (int(b) + 1 for b in bad[:4])
-                raise RelationViolated(
-                    f"defining relation fails at (i,j,k,l)=({i},{j},{k},{l}),"
-                    f" u={u0}, v={v0} on {spec}")
+def dense_rtt_check(spec, samples=None):
+    """rtt_check's reference: the report counts reference_grid's pairs, and
+    a nonzero dense_residual raises at its first nonzero coefficient in C
+    order, that is by power of u, then of v, then by (i,j,k,l) and the
+    matrix entry."""
+    us, vs = reference_grid(spec, samples)
+    D = dense_residual(spec)
+    if D.any():
+        p, q, *bad = next(zip(*np.nonzero(D)))
+        i, j, k, l = (int(b) + 1 for b in bad[:4])
+        raise RelationViolated(
+            f"defining relation fails at (i,j,k,l)=({i},{j},{k},{l}),"
+            f" coefficient of u^{p} v^{q} on {spec}")
     return ya.RttReport(spec, len(us) * len(vs), 4 * spec.m + 2, True)
+
+
+def dense_grid_failures(spec, samples=None):
+    """The pairs (u, v) of reference_grid at which dense_residual, evaluated
+    at its nonzero positions, is not zero."""
+    us, vs = reference_grid(spec, samples)
+    D = dense_residual(spec)
+    D = D.reshape(len(D), len(D), -1)
+    D = D[:, :, D.any(axis=(0, 1))]
+
+    def powers(ws):
+        return np.array([[w ** k for k in range(len(D))] for w in ws],
+                        dtype=object)
+
+    # at[x, y, s]: the residual at (us[x], vs[y]) on position s
+    at = np.einsum("xp,pqs,yq->xys", powers(us), D, powers(vs))
+    return [(u0, v0) for x, u0 in enumerate(us) for y, v0 in enumerate(vs)
+            if at[x, y].any()]
 
 
 def rtt_outcome(check, spec, samples=None):
@@ -471,8 +502,8 @@ CORRUPTIONS = [
 
 
 def test_rtt_detects_corruption(monkeypatch):
-    """rtt_check samples the shared action_table, so corrupting any entry
-    of T_12 or T_21, on the support or off it, is seen, and named as the
+    """rtt_check reads the shared action_table, so corrupting any entry of
+    T_12 or T_21, on the support or off it, is seen, and named as the
     dense reference names it."""
     spec = ModuleSpec.make(2, (0, 1), (1, 1))
     for nonzero, change in CORRUPTIONS:
@@ -528,23 +559,18 @@ def test_not_eigenvector_is_named_as_the_reference_names_it(monkeypatch):
     assert texts == {"differs", "off itself", "annihilate"}
 
 
-@pytest.mark.parametrize("block", [1, 300, 2000, ya._GRID_BLOCK])
-def test_rtt_grid_blocks(monkeypatch, block):
-    """Grid blocks of one pair, of 4 pairs of a row, of 2 rows and of the
-    whole grid (the module has 68 tested positions) give the dense
-    reference's outcome, on the table and on corrupted copies.  Adding
-    u^2 - 4 keeps the first pair (2, -2) clean, so the failure is named
-    further along its row.  Adding a multiple of every grid value but the
-    last v, -14, leaves only the pairs (u, -14) failing, and likewise for
-    the last u, 14, so a block left out would pass them."""
+def test_rtt_names_corruptions_as_the_reference(monkeypatch):
+    """On a grid of 13 values per axis, the table and five corrupted copies
+    give the dense reference's report or failure text: a coefficient
+    shifted, an entry gone, u^2 - 4 added (zero at the first pair, (2, -2)),
+    and a multiple of every grid value but the last v, -14, or but the
+    last u, 14, added, so that only one row or column of the grid sees
+    them."""
     spec = ModuleSpec.make(2, (0, 1), (1, 1))
     samples = 12 * 12 + 5     # 13 values per axis
-    assert len(ya._residual_coefficients(spec)[0]) == 68
-    monkeypatch.setattr(ya, "_GRID_BLOCK", block)
     assert rtt_check(spec, samples) == dense_rtt_check(spec, samples)
     us, vs = range(2, 15), range(-2, -15, -1)
     changes = [change for _, change in CORRUPTIONS[:2]]
-    named = []
     for change in changes + [lambda cs: _iu_add(cs, [-4, 0, 1]),
                              vanishing([*us, *vs[:-1]]),
                              vanishing([*us[:-1], *vs])]:
@@ -552,10 +578,8 @@ def test_rtt_grid_blocks(monkeypatch, block):
         with monkeypatch.context() as patch:
             corrupt(patch, spec, 0, 1, r, c, change)
             outcome = rtt_outcome(rtt_check, spec, samples)
+            assert isinstance(outcome, str)
             assert outcome == rtt_outcome(dense_rtt_check, spec, samples)
-            named.append(outcome.split(", ", 1)[1])
-    assert named[2:] == [f"u=2, v=-3 on {spec}", f"u=2, v=-14 on {spec}",
-                         f"u=14, v=-2 on {spec}"]
 
 
 def test_rtt_names_a_coefficient_the_grid_misses(monkeypatch):
@@ -569,7 +593,8 @@ def test_rtt_names_a_coefficient_the_grid_misses(monkeypatch):
     us, vs = range(2, 15), range(-2, -15, -1)
     (r, c), *_ = cells(spec, 0, 1, True)
     corrupt(monkeypatch, spec, 0, 1, r, c, vanishing([*us, *vs]))
-    assert dense_rtt_check(spec, samples).passed
+    assert reference_grid(spec, samples) == (list(us), list(vs))
+    assert dense_grid_failures(spec, samples) == []
     codes, R = ya._residual_coefficients(spec)
     first = np.ravel_multi_index((0, 1, 6), R.shape)   # u^0 v^1 at codes[6]
     assert np.flatnonzero(R)[0] == first
@@ -580,18 +605,13 @@ def test_rtt_names_a_coefficient_the_grid_misses(monkeypatch):
                               f" coefficient of u^0 v^1 on {spec}")
 
 
-def test_rtt_battery_is_proved_by_coefficients(monkeypatch):
+def test_rtt_battery_is_proved_by_coefficients():
     """On every battery module the residual's coefficient array is zero, and
-    the check passes without building a grid sample."""
+    the check passes with the least grid's pairs."""
     battery = rtt_battery()
     assert len(battery) == 356
     for spec in battery:
         assert not ya._residual_coefficients(spec)[1].any()
-
-    def no_grid(*args):
-        raise AssertionError("a passing module reached the sampling grid")
-
-    monkeypatch.setattr(ya, "_integer_samples", no_grid)
     for spec in battery:
         report = rtt_check(spec)
         need = 4 * spec.m + 3
@@ -896,7 +916,9 @@ def test_rtt_matches_dense_reference(spec, data):
     """On the table and on one corrupted copy, rtt_check and the dense
     einsum reference give the same report or the same failure text, on
     the least grid and on two wider ones (need + 1 and need + 2 values per
-    axis, the second from a count that is not a square)."""
+    axis, the second from a count that is not a square).  One corruption
+    adds a multiple of every value of the widest grid's two axes, which no
+    grid pair sees."""
     need = 4 * spec.m + 3
     wider = (need * need + 1, need * need + 3 * need)
     assert rtt_check(spec) == dense_rtt_check(spec)
@@ -905,9 +927,12 @@ def test_rtt_matches_dense_reference(spec, data):
     n, dim = spec.n, spec.dim
     a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     r, c = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
-    new = data.draw(st.sampled_from([(), (1,), (0, 1), (1, 1)]))
+    us, vs = reference_grid(spec, wider[1])
+    change = data.draw(st.sampled_from(
+        [lambda cs: (), lambda cs: (1,), lambda cs: (0, 1),
+         lambda cs: (1, 1), vanishing([*us, *vs])]))
     with pytest.MonkeyPatch.context() as monkeypatch:
-        corrupt(monkeypatch, spec, a, b, r, c, lambda cs: new)
+        corrupt(monkeypatch, spec, a, b, r, c, change)
         assert rtt_outcome(rtt_check, spec) == rtt_outcome(dense_rtt_check,
                                                            spec)
         for samples in wider:
