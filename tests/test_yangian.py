@@ -559,7 +559,19 @@ def test_not_eigenvector_is_named_as_the_reference_names_it(monkeypatch):
     assert texts == {"differs", "off itself", "annihilate"}
 
 
-def test_rtt_names_corruptions_as_the_reference(monkeypatch):
+GRID_US, GRID_VS = range(2, 15), range(-2, -15, -1)   # 13 values per axis
+
+
+@pytest.mark.parametrize("change", [
+    None,
+    CORRUPTIONS[0][1],
+    CORRUPTIONS[1][1],
+    lambda cs: _iu_add(cs, [-4, 0, 1]),
+    vanishing([*GRID_US, *GRID_VS[:-1]]),
+    vanishing([*GRID_US[:-1], *GRID_VS]),
+], ids=["table", "shifted", "gone", "u^2-4", "all-but-last-v",
+        "all-but-last-u"])
+def test_rtt_names_corruptions_as_the_reference(monkeypatch, change):
     """On a grid of 13 values per axis, the table and five corrupted copies
     give the dense reference's report or failure text: a coefficient
     shifted, an entry gone, u^2 - 4 added (zero at the first pair, (2, -2)),
@@ -568,18 +580,13 @@ def test_rtt_names_corruptions_as_the_reference(monkeypatch):
     them."""
     spec = ModuleSpec.make(2, (0, 1), (1, 1))
     samples = 12 * 12 + 5     # 13 values per axis
-    assert rtt_check(spec, samples) == dense_rtt_check(spec, samples)
-    us, vs = range(2, 15), range(-2, -15, -1)
-    changes = [change for _, change in CORRUPTIONS[:2]]
-    for change in changes + [lambda cs: _iu_add(cs, [-4, 0, 1]),
-                             vanishing([*us, *vs[:-1]]),
-                             vanishing([*us[:-1], *vs])]:
+    assert reference_grid(spec, samples) == (list(GRID_US), list(GRID_VS))
+    if change is not None:
         (r, c), *_ = cells(spec, 0, 1, True)
-        with monkeypatch.context() as patch:
-            corrupt(patch, spec, 0, 1, r, c, change)
-            outcome = rtt_outcome(rtt_check, spec, samples)
-            assert isinstance(outcome, str)
-            assert outcome == rtt_outcome(dense_rtt_check, spec, samples)
+        corrupt(monkeypatch, spec, 0, 1, r, c, change)
+    outcome = rtt_outcome(rtt_check, spec, samples)
+    assert isinstance(outcome, str) == (change is not None)
+    assert outcome == rtt_outcome(dense_rtt_check, spec, samples)
 
 
 def test_rtt_names_a_coefficient_the_grid_misses(monkeypatch):
@@ -590,10 +597,9 @@ def test_rtt_names_a_coefficient_the_grid_misses(monkeypatch):
     of u^0 v^1 at (i,j,k,l) = (1,1,1,2)."""
     spec = ModuleSpec.make(2, (0, 1), (1, 1))
     samples = 12 * 12 + 5     # 13 values per axis
-    us, vs = range(2, 15), range(-2, -15, -1)
     (r, c), *_ = cells(spec, 0, 1, True)
-    corrupt(monkeypatch, spec, 0, 1, r, c, vanishing([*us, *vs]))
-    assert reference_grid(spec, samples) == (list(us), list(vs))
+    corrupt(monkeypatch, spec, 0, 1, r, c, vanishing([*GRID_US, *GRID_VS]))
+    assert reference_grid(spec, samples) == (list(GRID_US), list(GRID_VS))
     assert dense_grid_failures(spec, samples) == []
     codes, R = ya._residual_coefficients(spec)
     first = np.ravel_multi_index((0, 1, 6), R.shape)   # u^0 v^1 at codes[6]
